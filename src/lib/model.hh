@@ -41,6 +41,8 @@ struct LinearLayer {
     std::string out_name;      ///< Output tensor name.
 
     std::uint64_t flops() const;
+
+    bool operator==(const LinearLayer &) const = default;
 };
 
 /**
@@ -59,6 +61,8 @@ struct AttentionBlock {
     std::string out_name;
 
     std::uint64_t flops() const;
+
+    bool operator==(const AttentionBlock &) const = default;
 };
 
 using Segment = std::variant<LinearLayer, AttentionBlock>;
@@ -73,6 +77,8 @@ struct Model {
     std::uint64_t totalFlops() const;
     /** Minimum off-chip traffic: input + weights + output bytes. */
     Bytes minTrafficBytes() const;
+
+    bool operator==(const Model &) const = default;
 };
 
 /** @{ Model builders matching the paper's evaluated workloads. */

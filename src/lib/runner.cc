@@ -68,11 +68,11 @@ placeBlock(ref::Matrix &dst, const ref::Matrix &block, std::uint32_t r0,
 
 } // namespace
 
-std::map<std::string, ref::Matrix>
+References
 referenceForward(core::RsnMachine &mach, const Model &model,
                  const CompiledModel &compiled)
 {
-    std::map<std::string, ref::Matrix> acts;
+    References acts;
     acts["input"] = readTensor(mach, compiled, "input");
 
     for (const auto &seg : model.segments) {
@@ -129,25 +129,30 @@ referenceForward(core::RsnMachine &mach, const Model &model,
     return acts;
 }
 
+References
+seedAndReference(core::RsnMachine &mach, const Model &model,
+                 const CompiledModel &compiled, std::uint32_t seed)
+{
+    if (!mach.host().functional())
+        return {};
+    initTensors(mach, compiled, seed);
+    References refs = referenceForward(mach, model, compiled);
+    refs.erase("input");  // Seeded, not produced: nothing to compare.
+    return refs;
+}
+
 CheckedRun
-runModelChecked(core::RsnMachine &mach, const Model &model,
-                const CompiledModel &compiled, std::uint32_t seed,
-                float rtol, float atol, Tick max_ticks)
+runAndCompare(core::RsnMachine &mach, const CompiledModel &compiled,
+              const References &refs, float rtol, float atol,
+              Tick max_ticks)
 {
     CheckedRun cr;
     cr.functional = mach.host().functional();
-
-    std::map<std::string, ref::Matrix> refs;
-    if (cr.functional) {
-        initTensors(mach, compiled, seed);
-        refs = referenceForward(mach, model, compiled);
-    }
-
     cr.report = mach.runChecked(compiled.program, max_ticks);
 
     if (cr.functional && cr.report.ok()) {
         for (const auto &[name, expect] : refs) {
-            if (name == "input" || !compiled.hasTensor(name))
+            if (!compiled.hasTensor(name))
                 continue;
             ref::Matrix got = readTensor(mach, compiled, name);
             if (!ref::allclose(got, expect, rtol, atol)) {
@@ -157,6 +162,54 @@ runModelChecked(core::RsnMachine &mach, const Model &model,
         }
     }
     return cr;
+}
+
+CheckedRun
+runModelChecked(core::RsnMachine &mach, const Model &model,
+                const CompiledModel &compiled, std::uint32_t seed,
+                float rtol, float atol, Tick max_ticks)
+{
+    return runAndCompare(mach, compiled,
+                         seedAndReference(mach, model, compiled, seed),
+                         rtol, atol, max_ticks);
+}
+
+const ProgramCache::Entry &
+ProgramCache::prepare(core::RsnMachine &mach, const Model &model,
+                      const ScheduleOptions &opts, std::uint32_t seed)
+{
+    rsn_assert(mach.config().equalsIgnoringFaultSeed(cfg_),
+               "program cache lookup under a different machine config");
+    rsn_assert(seed == seed_,
+               "program cache bound to tensor seed %u, looked up with %u",
+               seed_, seed);
+    rsn_assert(mach.host().allocatedBytes() == 0,
+               "program cache needs a freshly built or reset machine");
+
+    for (const Entry &e : entries_) {
+        if (e.model != model || e.opts != opts)
+            continue;
+        // declareTensor is the only allocation site and records tensors
+        // in allocation order, so replaying the table reproduces the
+        // cold compile's layout; fresh regions come back zeroed.
+        for (const TensorInfo &t : e.compiled.tensors) {
+            const Addr a =
+                mach.host().alloc(std::uint64_t(t.rows) * t.cols, t.name);
+            rsn_assert(a == t.addr,
+                       "tensor '%s' re-placed at %#llx, compiled at %#llx",
+                       t.name.c_str(), (unsigned long long)a,
+                       (unsigned long long)t.addr);
+        }
+        initTensors(mach, e.compiled, seed_);
+        ++reused_;
+        return e;
+    }
+
+    CompiledModel compiled = compileModel(mach, model, opts);
+    References refs = seedAndReference(mach, model, compiled, seed_);
+    ++compiled_;
+    return entries_.emplace_back(
+        Entry{model, opts, std::move(compiled), std::move(refs)});
 }
 
 } // namespace rsn::lib

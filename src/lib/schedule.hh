@@ -35,6 +35,8 @@ struct ScheduleOptions {
     /** Store pieces per MemC slab (drained one per load gap). */
     std::uint32_t store_split = 2;
 
+    bool operator==(const ScheduleOptions &) const = default;
+
     static ScheduleOptions
     optimized()
     {

@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "common/log.hh"
-#include "lib/codegen.hh"
 #include "lib/runner.hh"
 #include "lib/schedule.hh"
 
@@ -57,7 +56,8 @@ ServingReport::toString() const
         "  fleet: runs=%llu built=%llu reused=%llu retries=%llu "
         "faults_injected=%llu\n"
         "  breaker: opened=%llu half_opened=%llu closed=%llu "
-        "pool_trimmed=%llu\n",
+        "pool_trimmed=%llu\n"
+        "  programs: compiled=%llu reused=%llu\n",
         offered_load, (unsigned long long)offered,
         (unsigned long long)ok, (unsigned long long)retried,
         (unsigned long long)shed, (unsigned long long)timeout,
@@ -73,11 +73,16 @@ ServingReport::toString() const
         (unsigned long long)breaker_opened,
         (unsigned long long)breaker_half_opened,
         (unsigned long long)breaker_closed,
-        (unsigned long long)pool_trimmed);
+        (unsigned long long)pool_trimmed,
+        (unsigned long long)programs_compiled,
+        (unsigned long long)programs_reused);
     return buf;
 }
 
 namespace {
+
+/** Tensor seed of every serving run (inputs and weights). */
+constexpr std::uint32_t kTensorSeed = 2025;
 
 /**
  * The whole simulation state for one runServing call. Single-threaded
@@ -88,7 +93,8 @@ namespace {
 class ServingSim
 {
   public:
-    explicit ServingSim(const ServeSpec &spec) : spec_(spec)
+    explicit ServingSim(const ServeSpec &spec)
+        : spec_(spec), programs_(spec.cfg, kTensorSeed)
     {
         const Status pv = spec_.policy.validate();
         rsn_assert(pv.ok(), "invalid serve policy: %s",
@@ -238,6 +244,8 @@ class ServingSim
     LatencyHistogram hist_;
     std::vector<Request> reqs_;
     std::deque<Slot> slots_;  ///< deque: SweepLane is immovable.
+    /** Shared by every slot: all run on this simulation's thread. */
+    lib::ProgramCache programs_;
     std::vector<std::deque<std::uint64_t>> queues_;
     std::vector<Tick> linger_pending_;  ///< Earliest pending, per class.
     std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
@@ -438,12 +446,17 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     ++dispatch_seq_;
 
     core::RsnMachine &mach = s.lane.machine(cfg);
-    const lib::Model model = spec_.classes[cls].build(n);
-    const lib::CompiledModel compiled =
-        lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
+    const lib::ProgramCache::Entry &prog = programs_.prepare(
+        mach, spec_.classes[cls].build(n),
+        lib::ScheduleOptions::optimized(), kTensorSeed);
     const lib::CheckedRun cr =
-        lib::runModelChecked(mach, model, compiled, 2025, 2e-3f, 2e-3f,
-                             spec_.policy.run_tick_budget);
+        lib::runAndCompare(mach, prog.compiled, prog.refs, 2e-3f, 2e-3f,
+                           spec_.policy.run_tick_budget);
+    // Nothing reads the tensor images after the compare, and the slot's
+    // next dispatch resets or rebuilds the machine anyway: release them
+    // now, so an idle slot does not hold a dead run's tensors beside
+    // the program cache's references.
+    mach.host().reset();
     ++rep_.runs;
     rep_.faults_injected += cr.report.faults_injected;
     f.ok = cr.ok();
@@ -505,6 +518,8 @@ ServingSim::run()
         rep_.machines_built += s.lane.machinesBuilt();
         rep_.machines_reused += s.lane.machinesReused();
     }
+    rep_.programs_compiled = programs_.compiled();
+    rep_.programs_reused = programs_.reused();
     if (rep_.horizon > 0)
         rep_.goodput = double(rep_.served()) * spec_.cfg.clocks.plHz /
                        double(rep_.horizon);

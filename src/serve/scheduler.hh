@@ -45,6 +45,19 @@
  * from the one seed. Lane machines absorb the per-dispatch seed via
  * reset() + RsnMachine::setFaultSeed — no rebuild, so the machine cache
  * works at full strength under chaos (lib/sweep.hh).
+ *
+ * ## Program cache
+ *
+ * A fleet only ever sees classes x max_batch distinct models, so each
+ * simulation compiles and references each (model, schedule) once: one
+ * lib::ProgramCache, bound to spec.cfg and the tensor seed and shared
+ * by every slot (they all run on the simulation's thread). A hit
+ * re-places the cached tensor table on the slot's pristine machine —
+ * activations zeroed, inputs and weights re-seeded — so it replays a
+ * cold compile exactly; ServingReport counts misses and hits as
+ * programs_compiled / programs_reused. A dispatch releases its
+ * machine's tensor images right after the output compare, so idle
+ * slots hold no dead run's tensors beside the cached references.
  */
 
 #ifndef RSN_SERVE_SCHEDULER_HH
@@ -123,6 +136,8 @@ struct ServingReport {
     std::uint64_t breaker_half_opened = 0;
     std::uint64_t breaker_closed = 0;
     std::uint64_t pool_trimmed = 0;      ///< Buffers freed at quarantine.
+    std::uint64_t programs_compiled = 0; ///< ProgramCache misses.
+    std::uint64_t programs_reused = 0;   ///< ProgramCache hits.
     std::uint64_t max_queue_depth = 0;
     Tick horizon = 0;               ///< Tick the last request resolved.
 

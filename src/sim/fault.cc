@@ -402,7 +402,7 @@ FaultInjector::ingressCheck(SiteId s, Chunk &c)
     auto it = protected_.find(c.data.raw());
     if (it == protected_.end())
         return;
-    const std::uint32_t expect = it->second;
+    const std::uint64_t expect = it->second;
     protected_.erase(it);
 
     Site &site = sites_[s];
@@ -433,16 +433,37 @@ FaultInjector::ingressCheck(SiteId s, Chunk &c)
                       std::to_string(c.cols) + " tile)");
 }
 
-std::uint32_t
+std::uint64_t
 payloadChecksum(const void *p, std::uint64_t bytes)
 {
+    // Four independent lanes, each h = (h ^ w) * odd over 8-byte words:
+    // every step is a bijection of the lane state, so a change confined
+    // to one word changes its lane's final state, and the bijective
+    // finalizer carries that into the xor of the lanes.
+    constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ull;
     const auto *b = static_cast<const unsigned char *>(p);
-    std::uint32_t h = 0x811c9dc5u;
-    for (std::uint64_t i = 0; i < bytes; ++i) {
-        h ^= b[i];
-        h *= 0x01000193u;
+    std::uint64_t h[4] = {0xcbf29ce484222325ull, 0x84222325cbf29ce4ull,
+                          0x6a09e667f3bcc908ull, 0xbb67ae8584caa73bull};
+    auto word = [b](std::uint64_t at, std::uint64_t n) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, b + at, n);
+        return w;
+    };
+    auto step = [](std::uint64_t &lane, std::uint64_t w) {
+        lane = (lane ^ w) * kOdd;
+    };
+    std::uint64_t i = 0;
+    for (; i + 32 <= bytes; i += 32) {
+        step(h[0], word(i, 8));
+        step(h[1], word(i + 8, 8));
+        step(h[2], word(i + 16, 8));
+        step(h[3], word(i + 24, 8));
     }
-    return h ? h : 1;
+    for (int l = 0; i + 8 <= bytes; i += 8, ++l)
+        step(h[l], word(i, 8));
+    if (i < bytes)  // At most three whole words precede the tail.
+        step(h[3], word(i, bytes - i));
+    return mix64(h[0]) ^ mix64(h[1]) ^ mix64(h[2]) ^ mix64(h[3]);
 }
 
 } // namespace rsn::sim

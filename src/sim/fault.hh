@@ -280,7 +280,7 @@ class FaultInjector
     Engine &eng_;
     bool checksums_on_;
     std::vector<Site> sites_;
-    std::unordered_map<const void *, std::uint32_t> protected_;
+    std::unordered_map<const void *, std::uint64_t> protected_;
     std::vector<FaultRecord> log_;
     std::uint64_t counts_[kNumFaultKinds] = {};
     std::uint64_t total_ = 0;
@@ -289,9 +289,16 @@ class FaultInjector
     std::thread::id owner_ = std::this_thread::get_id();
 };
 
-/** Deterministic FNV-1a checksum of a payload's byte window (never 0).
- *  Dtype-agnostic: callers pass the wire byte count (Chunk::bytes()). */
-std::uint32_t payloadChecksum(const void *p, std::uint64_t bytes);
+/**
+ * Deterministic 64-bit checksum of a payload's byte window. Dtype-
+ * agnostic: callers pass the wire byte count (Chunk::bytes()). Eight-
+ * byte words go round-robin to four independent lanes, each updated as
+ * h = (h ^ w) * odd; a byte tail, zero-padded to one word, folds into
+ * the last lane; the result is the xor of the lanes after a bijective
+ * finalizer (SplitMix64). Every step is a bijection, so any single-bit
+ * flip changes the checksum.
+ */
+std::uint64_t payloadChecksum(const void *p, std::uint64_t bytes);
 
 } // namespace rsn::sim
 

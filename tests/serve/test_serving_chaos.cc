@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/arrivals.hh"
@@ -71,6 +72,62 @@ TEST(ServingChaos, ReportsBitIdenticalAtAnyJobs)
     // And a repeat run is identical to itself (no hidden state).
     const auto again = serve::runServing(specs[0]);
     EXPECT_EQ(again, seq[0]);
+}
+
+/**
+ * The functional chaos spec whose reports are pinned byte for byte:
+ * enough requests at two loads that retries, machine rebuilds and
+ * breaker open/half-open/close cycles all occur.
+ */
+std::vector<serve::ServeSpec>
+goldenSpecs()
+{
+    std::vector<serve::ServeSpec> specs;
+    for (double load : {20000.0, 40000.0}) {
+        serve::ServeSpec spec = chaosSpec(load);
+        spec.num_requests = 256;
+        spec.policy.breaker_threshold = 2;
+        specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+TEST(ServingChaos, GoldenReportsPinned)
+{
+    const char *const kGolden[] = {
+        "serving load=20000 req/s offered=256\n"
+        "  outcomes: ok=223 retried=33 shed=0 timeout=0 faulted=0 "
+        "(resolved=256)\n"
+        "  latency ticks: p50=15360 p95=26624 p99=30720 max=35550\n"
+        "  queue: max_depth=5 horizon=2978755 goodput=22344.9 req/s\n"
+        "  fleet: runs=236 built=29 reused=207 retries=34 "
+        "faults_injected=2361\n"
+        "  breaker: opened=2 half_opened=2 closed=2 pool_trimmed=251\n"
+        "  programs: compiled=7 reused=229\n",
+        "serving load=40000 req/s offered=256\n"
+        "  outcomes: ok=211 retried=45 shed=0 timeout=0 faulted=0 "
+        "(resolved=256)\n"
+        "  latency ticks: p50=16384 p95=32768 p99=57344 max=66574\n"
+        "  queue: max_depth=9 horizon=1513693 goodput=43971.9 req/s\n"
+        "  fleet: runs=185 built=26 reused=159 retries=48 "
+        "faults_injected=1951\n"
+        "  breaker: opened=2 half_opened=2 closed=1 pool_trimmed=268\n"
+        "  programs: compiled=8 reused=177\n",
+    };
+    const auto specs = goldenSpecs();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // Each simulation on a fresh thread: pool_trimmed counts the
+        // buffers in the thread's TilePool free lists, which includes
+        // any a previous simulation on the same thread left behind.
+        serve::ServingReport rep;
+        std::thread([&] { rep = serve::runServing(specs[i]); }).join();
+        EXPECT_EQ(rep.toString(), kGolden[i]) << "report " << i;
+        // One compile per distinct (class, batch size); every other run
+        // replays a cached program.
+        EXPECT_EQ(rep.programs_compiled + rep.programs_reused, rep.runs);
+        EXPECT_LE(rep.programs_compiled,
+                  specs[i].classes.size() * specs[i].policy.max_batch);
+    }
 }
 
 TEST(ServingChaos, EveryRequestResolvesUnderChaos)

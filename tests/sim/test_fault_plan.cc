@@ -270,15 +270,23 @@ TEST(FaultInjector, ResetReplaysTheIdenticalSchedule)
 
 TEST(FaultInjector, PayloadChecksumDetectsASingleFlippedBit)
 {
-    std::vector<float> v(256, 1.25f);
-    const std::uint64_t nbytes = v.size() * sizeof(float);
-    auto base = rsn::sim::payloadChecksum(v.data(), nbytes);
-    // Flip one mantissa bit of one element.
-    std::uint32_t bits;
-    std::memcpy(&bits, &v[100], sizeof(bits));
-    bits ^= 1u << 3;
-    std::memcpy(&v[100], &bits, sizeof(bits));
-    EXPECT_NE(rsn::sim::payloadChecksum(v.data(), nbytes), base);
+    // Every bit of each window: 2 and 30 bytes are all tail or words
+    // plus tail, 32 is one word per lane, 100 is an odd bf16 width
+    // (50 elements), 4096 runs every lane many times.
+    for (std::uint64_t nbytes : {2u, 30u, 32u, 100u, 4096u}) {
+        std::vector<unsigned char> v(nbytes);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = static_cast<unsigned char>(i * 37 + 11);
+        const std::uint64_t base = rsn::sim::payloadChecksum(v.data(), nbytes);
+        std::uint64_t missed = 0;
+        for (std::uint64_t bit = 0; bit < nbytes * 8; ++bit) {
+            v[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+            missed += rsn::sim::payloadChecksum(v.data(), nbytes) == base;
+            v[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        }
+        EXPECT_EQ(missed, 0u) << nbytes << "-byte window";
+        EXPECT_EQ(rsn::sim::payloadChecksum(v.data(), nbytes), base);
+    }
 }
 
 } // namespace
