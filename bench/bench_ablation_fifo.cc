@@ -22,11 +22,11 @@ using rsn::core::Table;
 namespace {
 
 const char *
-outcome(const core::RunResult &r)
+outcome(const bench::EncoderRun &r)
 {
-    return r.completed      ? "completed"
-           : r.deadlocked   ? "DEADLOCK"
-                            : "timeout";
+    if (r.status.ok())
+        return "completed";
+    return r.status.code == StatusCode::Deadlock ? "DEADLOCK" : "timeout";
 }
 
 } // namespace
@@ -66,7 +66,7 @@ main(int argc, char **argv)
         const auto &cfg = jobs[i].cfg;
         const auto &r = runs[i];
         t.row({std::to_string(cfg.uop_fifo_depth),
-               std::to_string(cfg.fetch_fifo_depth), outcome(r.result),
+               std::to_string(cfg.fetch_fifo_depth), outcome(r),
                r.result.completed ? Table::num(r.result.ms, 2) : "-"});
     }
     t.print();
@@ -88,7 +88,7 @@ main(int argc, char **argv)
     s.header({"packet FIFO depth", "outcome", "latency ms"});
     for (std::size_t i = 0; i < shape_jobs.size(); ++i) {
         const auto &r = shape_runs[i];
-        s.row({std::to_string(shape_depths[i]), outcome(r.result),
+        s.row({std::to_string(shape_depths[i]), outcome(r),
                r.result.completed ? Table::num(r.result.ms, 2) : "-"});
     }
     s.print();

@@ -14,7 +14,6 @@
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
 int

@@ -12,12 +12,12 @@
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const lib::SweepExecutor executor(bench::benchJobs(argc, argv));
     core::banner("Table 5a: decoder area overhead");
     auto cfg = core::MachineConfig::vck190();
     auto a = core::AreaModel::decoderArea(cfg);
@@ -39,8 +39,9 @@ main()
     t.print();
 
     core::banner("Table 5b: computation resource utilization");
-    auto run = runModel(lib::bertLargeEncoder(6, 512, true, 1),
-                        lib::ScheduleOptions::optimized());
+    const auto run = bench::runSweepPoints(
+        executor, {{lib::bertLargeEncoder(6, 512, true, 1),
+                    lib::ScheduleOptions::optimized()}})[0];
     Table u("Achieved vs peak FP32 performance");
     u.header({"Design", "Precision", "Peak TFLOPS", "BW GB/s",
               "Achieved TFLOPS", "Util"});

@@ -5,18 +5,14 @@
  * interesting aggregates. Every bench binary prints paper-reported
  * values alongside measured ones so the reproduction is auditable.
  *
- * Runs go through a BenchContext, which keeps one machine alive across
- * data points: as long as consecutive runs use an equal MachineConfig
- * (the common case — a figure sweeps batch size or schedule options on
- * one datapath), the machine is reset() between runs instead of being
- * rebuilt, so a sweep pays the datapath construction cost once.
- *
- * Sweep binaries run their data points through lib::SweepExecutor
- * (runSweepPoints below): each worker lane owns a machine, results land
- * in point order, and tick counts are bit-identical for every --jobs
- * value. Pass `--jobs N` (or RSN_JOBS=N; 0 = all hardware threads) to
- * any sweep bench; the default stays 1 so paper-reproduction output is
- * unchanged unless parallelism is asked for.
+ * Bench binaries run their data points through lib::SweepExecutor
+ * (runSweepPoints below): each worker lane keeps one machine alive
+ * across points — reset() between equal-config runs instead of rebuilt
+ * (lib::SweepLane::machine) — results land in point order, and tick
+ * counts are bit-identical for every --jobs value. Pass `--jobs N` (or
+ * RSN_JOBS=N; 0 = all hardware threads) to any bench; the default
+ * stays 1 so paper-reproduction output is unchanged unless parallelism
+ * is asked for.
  */
 
 #ifndef RSN_BENCH_BENCH_UTIL_HH
@@ -25,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +34,7 @@ namespace rsn::bench {
 
 struct EncoderRun {
     core::RunResult result;
+    Status status;  ///< How the run ended (core::RunReport::status).
     double achieved_tflops = 0;
     double ddr_read_mb = 0;
     double ddr_write_mb = 0;
@@ -55,7 +51,9 @@ runOnMachine(core::RsnMachine &mach, const lib::Model &model,
 {
     auto compiled = lib::compileModel(mach, model, opts);
     EncoderRun out;
-    out.result = mach.run(compiled.program);
+    auto report = mach.runChecked(compiled.program);
+    out.result = std::move(report.result);
+    out.status = std::move(report.status);
     if (!out.result.completed) {
         std::fprintf(stderr, "run did not complete:\n%s\n",
                      out.result.diagnosis.c_str());
@@ -67,57 +65,6 @@ runOnMachine(core::RsnMachine &mach, const lib::Model &model,
     out.packets = compiled.program.size();
     out.mm_flops = compiled.mm_flops;
     return out;
-}
-
-/**
- * A reusable machine/run context for benchmark sweeps. machine() hands
- * back a pristine machine for @p cfg: the cached instance reset between
- * runs while the configuration stays the same, a freshly built one when
- * the configuration changes (or the previous run deadlocked / timed
- * out, which leaves a machine that cannot be reset).
- */
-class BenchContext
-{
-  public:
-    /** A pristine machine for @p cfg (cached or rebuilt; see above). */
-    core::RsnMachine &
-    machine(const core::MachineConfig &cfg)
-    {
-        if (mach_ && cfg_ == cfg && mach_->resettable())
-            mach_->reset();
-        else
-            mach_ = std::make_unique<core::RsnMachine>(cfg_ = cfg);
-        return *mach_;
-    }
-
-    /** Compile + run @p model (timing-only) and gather the aggregates. */
-    EncoderRun
-    run(const lib::Model &model, lib::ScheduleOptions opts,
-        const core::MachineConfig &cfg = core::MachineConfig::vck190())
-    {
-        return runOnMachine(machine(cfg), model, opts);
-    }
-
-  private:
-    core::MachineConfig cfg_;
-    std::unique_ptr<core::RsnMachine> mach_;
-};
-
-/**
- * Compile + run @p model on this thread's bench context. Figure/table
- * binaries call this per data point; equal-config points share one
- * machine. The context is thread_local — one per sweep lane — so
- * parallel sweeps never share a machine, and sequential callers keep
- * the old single-context behavior (machine pinned across data points,
- * which also removes the rebuild jitter ROADMAP noted in
- * BM_FunctionalTinyEncoder).
- */
-inline EncoderRun
-runModel(const lib::Model &model, lib::ScheduleOptions opts,
-         const core::MachineConfig &cfg = core::MachineConfig::vck190())
-{
-    thread_local BenchContext ctx;
-    return ctx.run(model, opts, cfg);
 }
 
 /** Compile + run @p model on a sweep lane's cached machine. */

@@ -127,7 +127,7 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
     // thread exit: thread_local/static destruction is reverse order of
     // construction, so touching the pool here guarantees it outlives
     // every machine-holding object constructed later on this thread
-    // (e.g. bench_util's cached BenchContext) — their destructors
+    // (e.g. a sweep lane's cached machine) — their destructors
     // retire tiles into a still-live pool. Registry warming keeps
     // sweep-lane first use off the startup-probe path entirely.
     sim::TilePool::instance();
@@ -240,12 +240,20 @@ RsnMachine::setFaultSeed(std::uint64_t seed)
         injector_->reseed(seed);
 }
 
-RunResult
-RsnMachine::run(const isa::RsnProgram &prog, Tick max_ticks)
+RunReport
+RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
 {
     rsn_assert(!ran_, "RsnMachine::run needs a fresh or reset() machine");
     ran_ = true;
     prog.validate();
+
+    RunReport rep;
+    {
+        const kernel::Registry &reg = kernel::Registry::instance();
+        rep.isa = reg.active().name;
+        rep.isa_source = reg.selectionSource();
+        rep.isa_probe = reg.probe().toString();
+    }
 
     for (auto &f : fus_)
         f->start();
@@ -253,7 +261,7 @@ RsnMachine::run(const isa::RsnProgram &prog, Tick max_ticks)
 
     bool quiesced = eng_.run(max_ticks);
 
-    RunResult r;
+    RunResult &r = rep.result;
     r.ticks = eng_.now();
     r.ms = ticksToMs(r.ticks, cfg_.clocks.plHz);
     bool all_halted = true;
@@ -263,58 +271,44 @@ RsnMachine::run(const isa::RsnProgram &prog, Tick max_ticks)
     // stream is a *silent* deadlock (nothing left to wake them); it must
     // not count as completion even when every FU happens to look done.
     bool drain_clean = quiesced && eng_.drainedClean();
-    r.livelocked = eng_.watchdogTripped();
-    r.fault_aborted = eng_.stopRequested();
+    const bool livelocked = eng_.watchdogTripped();
+    const bool fault_aborted = eng_.stopRequested();
     r.completed = quiesced && all_halted && decoder_->done() && drain_clean;
-    r.deadlocked = quiesced && !r.completed && !r.fault_aborted;
-    r.timed_out = !quiesced && !r.livelocked && !r.fault_aborted;
     ran_completed_ = r.completed;
     if (!r.completed) {
         r.diagnosis = stallReport();
         if (quiesced && !drain_clean)
             r.diagnosis += "parked waiters at drain (silent deadlock):\n" +
                            eng_.drainDiagnosis();
-        else if (r.fault_aborted && !eng_.drainedClean())
+        else if (fault_aborted && !eng_.drainedClean())
             // The same waiter scan after a fault stop: names the dead
             // stream's lost chunks and the endpoints parked on them.
             r.diagnosis +=
                 "parked waiters at fault stop:\n" + eng_.drainDiagnosis();
-        if (r.livelocked)
+        if (livelocked)
             r.diagnosis +=
                 "watchdog: tick " +
                 std::to_string(static_cast<unsigned long long>(r.ticks)) +
                 " exceeded the event budget without advancing time\n";
-        if (r.fault_aborted && injector_ && injector_->firstHardFault())
+        if (fault_aborted && injector_ && injector_->firstHardFault())
             r.diagnosis += "hard fault: " +
                            injector_->firstHardFault()->toString() + "\n";
     }
-    return r;
-}
 
-RunReport
-RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
-{
-    RunReport rep;
-    {
-        const kernel::Registry &reg = kernel::Registry::instance();
-        rep.isa = reg.active().name;
-        rep.isa_source = reg.selectionSource();
-        rep.isa_probe = reg.probe().toString();
-    }
-    rep.result = run(prog, max_ticks);
     if (injector_) {
         rep.faults = injector_->log();
         rep.faults_injected = injector_->totalInjected();
     }
-    const RunResult &r = rep.result;
+    // Precedence: hard fault, completed, livelock, timeout (the tick
+    // limit ran out with no stop requested), then deadlock.
     if (injector_ && injector_->hardFaulted())
         rep.status = Status::error(StatusCode::FaultDiagnosed,
                                    injector_->firstHardFault()->toString());
     else if (r.completed)
         rep.status = Status::success();
-    else if (r.livelocked)
+    else if (livelocked)
         rep.status = Status::error(StatusCode::Livelock, r.diagnosis);
-    else if (r.timed_out)
+    else if (!quiesced && !fault_aborted)
         rep.status = Status::error(StatusCode::Timeout, r.diagnosis);
     else
         rep.status = Status::error(StatusCode::Deadlock, r.diagnosis);

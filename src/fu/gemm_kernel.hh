@@ -8,9 +8,10 @@
  * through the kernel registry (fu/kernel_registry.hh): gemmAccumulate
  * below is a thin inline wrapper over the active KernelTable. The
  * classic three-piece structure — MR-interleaved LHS packing, a
- * register-blocked FMA microkernel per ISA (AVX-512 8x32, AVX2+FMA
- * 8x16, NEON 8x8, auto-vectorized portable 2x16), RHS packed only for
- * the ragged n%NR tail — is documented in the .inc.
+ * register-blocked FMA microkernel (one 8-row, two-vector-wide body for
+ * every register ISA: AVX-512 8x32, AVX2+FMA 8x16, NEON 8x8; plus an
+ * auto-vectorized portable 2x16), RHS packed only for the ragged n%NR
+ * tail — is documented in the .inc.
  *
  * This TU keeps the **scalar reference kernel** (gemmRefAccumulate):
  * identical loop order to the pre-blocked MME, no reassociation. It is
@@ -45,6 +46,8 @@ namespace rsn::fu {
  * row-major and dense. This is the pre-blocked MME loop (including its
  * skip of zero LHS elements, which never changes the result) and the
  * baseline the property tests compare the blocked kernels against.
+ * Like every table's GEMM, any zero dimension is a no-op that reads
+ * neither operand.
  */
 void gemmRefAccumulate(float *acc, const float *lhs, const float *rhs,
                        std::uint32_t m, std::uint32_t k, std::uint32_t n);

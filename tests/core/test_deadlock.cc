@@ -24,10 +24,10 @@ TEST(Deadlock, ShallowPacketFifoDeadlocksAndIsDiagnosed)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(2, 128, true,
                                                            1),
                                lib::ScheduleOptions::bwOptimized());
-    auto r = mach.run(c.program);
+    auto rep = mach.runChecked(c.program);
+    const auto &r = rep.result;
     ASSERT_FALSE(r.completed);
-    EXPECT_TRUE(r.deadlocked);
-    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(rep.status.code, StatusCode::Deadlock);
     // The diagnosis names the stalled fetch unit and blocked FUs.
     EXPECT_NE(r.diagnosis.find("fetch"), std::string::npos);
     EXPECT_NE(r.diagnosis.find("blocked"), std::string::npos);
@@ -59,10 +59,10 @@ TEST(Deadlock, TruncatedProgramReportsUnhaltedFus)
     mu.routes.push_back({{FuType::MemA, 0}, {FuType::Mme, 0}});
     p.mops.emplace_back(mu);
     prog.append(p);
-    auto r = mach.run(prog);
-    EXPECT_FALSE(r.completed);
-    EXPECT_TRUE(r.deadlocked);
-    EXPECT_NE(r.diagnosis.find("MeshA"), std::string::npos);
+    auto rep = mach.runChecked(prog);
+    EXPECT_FALSE(rep.result.completed);
+    EXPECT_EQ(rep.status.code, StatusCode::Deadlock);
+    EXPECT_NE(rep.result.diagnosis.find("MeshA"), std::string::npos);
 }
 
 TEST(Deadlock, TickLimitReportsTimeoutNotDeadlock)
@@ -71,10 +71,9 @@ TEST(Deadlock, TickLimitReportsTimeoutNotDeadlock)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
-    auto r = mach.run(c.program, /*max_ticks=*/1000);
-    EXPECT_FALSE(r.completed);
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_FALSE(r.deadlocked);
+    auto rep = mach.runChecked(c.program, /*max_ticks=*/1000);
+    EXPECT_FALSE(rep.result.completed);
+    EXPECT_EQ(rep.status.code, StatusCode::Timeout);
 }
 
 TEST(Deadlock, EmptyProgramWithHaltsCompletesImmediately)

@@ -25,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
+#include "common/dtype.hh"
 #include "fu/gemm_kernel.hh"
 #include "fu/kernel_registry.hh"
 #include "ref/ref_math.hh"
@@ -127,18 +129,20 @@ TEST(GemmKernel, EdgeShapes)
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         std::mt19937 rng(7);
-        // K = 0 is a no-op (acc must be untouched).
+        // Any zero dimension is a no-op (acc must be untouched). The
+        // operands are sized for the largest shape passed: lhs 3x1,
+        // rhs 1x4.
         {
             fu::GemmScratch scratch;
             std::vector<float> acc = randomVec(12, rng), saved = acc;
-            std::vector<float> dummy(1, 1.f);
-            fu::gemmAccumulate(scratch, acc.data(), dummy.data(),
-                               dummy.data(), 3, 0, 4);
+            std::vector<float> lhs(3, 1.f), rhs(4, 1.f);
+            fu::gemmAccumulate(scratch, acc.data(), lhs.data(),
+                               rhs.data(), 3, 0, 4);
             EXPECT_EQ(acc, saved);
-            fu::gemmAccumulate(scratch, acc.data(), dummy.data(),
-                               dummy.data(), 0, 1, 4);
-            fu::gemmAccumulate(scratch, acc.data(), dummy.data(),
-                               dummy.data(), 3, 1, 0);
+            fu::gemmAccumulate(scratch, acc.data(), lhs.data(),
+                               rhs.data(), 0, 1, 4);
+            fu::gemmAccumulate(scratch, acc.data(), lhs.data(),
+                               rhs.data(), 3, 1, 0);
             EXPECT_EQ(acc, saved);
         }
         // Single row / single column / single K — degenerate but legal.
@@ -164,6 +168,90 @@ TEST(GemmKernel, RandomizedShapesIncludingBlockEdges)
         for (std::uint32_t m : {1u, 7u, 8u, 9u, 15u, 16u, 17u})
             for (std::uint32_t n : {1u, 15u, 16u, 17u, 31u, 32u, 33u})
                 checkShape(m, 19, n, rng);
+    }
+}
+
+TEST(GemmKernel, RegisterTablesAreBitIdentical)
+{
+    // The register variants (avx512 / avx2 / neon) run one microkernel
+    // and one vexp over different vector widths. Each accumulator takes
+    // its products in the same k order under every width, so f32 and
+    // bf16 GEMM must agree to the bit, on both the full-block and the
+    // ragged-tail paths. GELU agrees on whole vectors only: elements
+    // past the last full vector go through the scalar approxGeluf,
+    // which forms the tanh argument as (k1*x)*x + k0 where vgelu uses
+    // fma(x*x, k1, k0), and differs from vgelu in the last bit for ~2%
+    // of inputs. Tables of different widths send different elements to
+    // that tail, so the GELU leg uses lengths that are multiples of
+    // every vector width.
+    std::vector<const kernel::KernelTable *> tables;
+    for (const auto *t : selectableTables())
+        if (t->isa == kernel::Isa::Avx512 || t->isa == kernel::Isa::Avx2 ||
+            t->isa == kernel::Isa::Neon)
+            tables.push_back(t);
+    if (tables.size() < 2)
+        GTEST_SKIP() << "fewer than two register tables on this CPU";
+
+    const auto same = [](const std::vector<float> &a,
+                         const std::vector<float> &b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+               0;
+    };
+    std::mt19937 rng(13);
+    for (std::uint32_t m : {1u, 7u, 8u, 9u, 17u, 64u})
+        for (std::uint32_t k : {1u, 2u, 3u, 19u, 128u})
+            for (std::uint32_t n : {1u, 15u, 16u, 17u, 33u, 64u, 65u,
+                                    130u}) {
+                SCOPED_TRACE(testing::Message()
+                             << m << "x" << k << "x" << n);
+                const auto lhs = randomVec(std::size_t(m) * k, rng);
+                const auto rhs = randomVec(std::size_t(k) * n, rng);
+                const auto acc0 = randomVec(std::size_t(m) * n, rng);
+                std::vector<std::uint16_t> lhs16(lhs.size()),
+                    rhs16(rhs.size());
+                for (std::size_t i = 0; i < lhs.size(); ++i)
+                    lhs16[i] = f32ToBf16(lhs[i]);
+                for (std::size_t i = 0; i < rhs.size(); ++i)
+                    rhs16[i] = f32ToBf16(rhs[i]);
+
+                std::vector<float> want_f32, want_bf16;
+                for (const auto *t : tables) {
+                    fu::GemmScratch scratch;
+                    auto f32 = acc0, bf16 = acc0;
+                    t->gemm_accumulate(scratch, f32.data(), lhs.data(),
+                                       rhs.data(), m, k, n);
+                    t->gemm_accumulate_bf16(scratch, bf16.data(),
+                                            lhs16.data(), rhs16.data(), m,
+                                            k, n);
+                    scratch.release();
+                    if (want_f32.empty()) {
+                        want_f32 = std::move(f32);
+                        want_bf16 = std::move(bf16);
+                        continue;
+                    }
+                    EXPECT_TRUE(same(f32, want_f32))
+                        << t->name << " f32 GEMM vs " << tables[0]->name;
+                    EXPECT_TRUE(same(bf16, want_bf16))
+                        << t->name << " bf16 GEMM vs " << tables[0]->name;
+                }
+            }
+
+    std::uniform_real_distribution<float> wide(-12.f, 12.f);
+    for (std::size_t n : {16u, 32u, 48u, 160u, 1024u}) {
+        std::vector<float> x(n);
+        for (auto &v : x)
+            v = wide(rng);
+        std::vector<float> want;
+        for (const auto *t : tables) {
+            auto y = x;
+            t->gelu_inplace(y.data(), y.size());
+            if (want.empty())
+                want = std::move(y);
+            else
+                EXPECT_TRUE(same(y, want))
+                    << t->name << " GELU vs " << tables[0]->name
+                    << ", n=" << n;
+        }
     }
 }
 

@@ -93,7 +93,6 @@ TEST(ChaosE2e, CertainBitFlipIsDiagnosedNotComputedWith)
     auto cr = chaosRun(f);
     EXPECT_FALSE(cr.report.ok());
     EXPECT_EQ(cr.report.status.code, StatusCode::FaultDiagnosed);
-    EXPECT_TRUE(cr.report.result.fault_aborted);
     EXPECT_FALSE(cr.report.result.completed);
     // The diagnosis names the detecting site.
     EXPECT_NE(cr.report.status.message.find("checksum-mismatch"),
@@ -128,7 +127,8 @@ TEST(ChaosE2e, SeededSchedulesAreReproducibleAndNeverHang)
 
         // Terminated (did not burn the whole budget), with a binary
         // outcome: verified-correct completion or a structured report.
-        EXPECT_FALSE(a.report.result.timed_out) << a.report.toString();
+        EXPECT_NE(a.report.status.code, StatusCode::Timeout)
+            << a.report.toString();
         if (a.report.ok())
             EXPECT_TRUE(a.outputs_ok)
                 << "seed " << seed
