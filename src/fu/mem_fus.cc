@@ -1,6 +1,7 @@
 #include "fu/mem_fus.hh"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "fu/kernel_registry.hh"
@@ -136,15 +137,62 @@ forEachOwnedSegment(TileBuffer &buf, Fn &&fn)
 
 } // namespace
 
+// ----------------------------------------------------------- Ping-pong --
+
+template <typename U>
+sim::Task
+PingPongFu<U>::runKernel(const isa::Uop &uop)
+{
+    const auto &u = std::get<U>(uop);
+    bool fill = false, drain = false;
+    if constexpr (std::is_same_v<U, isa::MemCUop>) {
+        fill = u.recv;
+        drain = u.store || u.send_mme;
+    } else {
+        fill = u.load;
+        drain = u.send;
+    }
+    TileBuffer &fill_buf = fill_ping_ ? ping_ : pong_;
+    TileBuffer &drain_buf = fill_ping_ ? pong_ : ping_;
+    rsn_assert(!drain || drain_buf.rows > 0, "%s draining before any fill",
+               name().c_str());
+    if (fill)
+        fill_ping_ = !fill_ping_;
+
+    if (fill && drain) {
+        sim::Task f = fillPart(u, fill_buf);
+        sim::Task d = drainPart(u, drain_buf);
+        co_await f;
+        co_await d;
+    } else if (fill) {
+        co_await fillPart(u, fill_buf);
+    } else if (drain) {
+        co_await drainPart(u, drain_buf);
+    }
+}
+
+template <typename U>
+void
+PingPongFu<U>::resetKernelState()
+{
+    ping_ = {};
+    pong_ = {};
+    fill_ping_ = true;
+}
+
+template class PingPongFu<isa::MemAUop>;
+template class PingPongFu<isa::MemBUop>;
+template class PingPongFu<isa::MemCUop>;
+
 // ---------------------------------------------------------------- MemA --
 
 MemAFu::MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst)
-    : Fu(eng, id), mesh_dst_(mesh_dst)
+    : PingPongFu(eng, id), mesh_dst_(mesh_dst)
 {
 }
 
 sim::Task
-MemAFu::loadPart(const isa::MemAUop &u, TileBuffer &buf)
+MemAFu::fillPart(const isa::MemAUop &u, TileBuffer &buf)
 {
     sim::Chunk c = co_await in(u.src).recv();
     countIn(c);
@@ -160,9 +208,8 @@ MemAFu::loadPart(const isa::MemAUop &u, TileBuffer &buf)
 }
 
 sim::Task
-MemAFu::sendPart(const isa::MemAUop &u, TileBuffer &buf)
+MemAFu::drainPart(const isa::MemAUop &u, TileBuffer &buf)
 {
-    rsn_assert(buf.rows > 0, "%s sending before any load", name().c_str());
     sim::Stream &o = out(mesh_dst_);
     auto slices = sliceRows(buf.rows, u.slices);
     for (std::uint32_t i = 0; i < slices.size(); ++i) {
@@ -173,132 +220,65 @@ MemAFu::sendPart(const isa::MemAUop &u, TileBuffer &buf)
     }
 }
 
-sim::Task
-MemAFu::runKernel(const isa::Uop &uop)
-{
-    const auto &u = std::get<isa::MemAUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.load)
-        recv_to_ping_ = !recv_to_ping_;
-
-    // Load and send run in parallel when both are enabled (Fig. 7b).
-    if (u.load && u.send) {
-        sim::Task ld = loadPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await ld;
-        co_await snd;
-    } else if (u.load) {
-        co_await loadPart(u, recv_buf);
-    } else if (u.send) {
-        co_await sendPart(u, send_buf);
-    }
-}
-
-void
-MemAFu::resetKernelState()
-{
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
-}
-
 // ---------------------------------------------------------------- MemB --
 
 MemBFu::MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst)
-    : Fu(eng, id), mesh_dst_(mesh_dst)
+    : PingPongFu(eng, id), mesh_dst_(mesh_dst)
 {
 }
 
 sim::Task
-MemBFu::loadPart(const isa::MemBUop &u, TileBuffer &buf)
+MemBFu::fillPart(const isa::MemBUop &u, TileBuffer &buf)
 {
     sim::Chunk c = co_await in(u.src).recv();
     countIn(c);
     checkIngress(c);
     buf.tile.clear();
     buf.dtype = c.dtype;
-    if (u.transpose) {
-        buf.rows = c.cols;
-        buf.cols = c.rows;
-        if (c.hasData()) {
-            // Transposition is a transform: fill a fresh pooled tile
-            // (the incoming chunk may be shared and stays immutable).
-            sim::TileRef t =
-                sim::TilePool::instance().acquire(c.elems(), c.dtype);
-            // Layout conversion through the active kernel table; every
-            // table's transpose (both widths) is bit-identical (pure
-            // data movement), so the ISA choice cannot move payload
-            // values here. 16-bit dtypes share the u16 ladder.
-            if (c.dtype == Dtype::F32)
-                kernel::active().transpose(t.mutableData(),
-                                           c.data.data(), c.rows,
-                                           c.cols);
-            else
-                kernel::active().transpose_u16(t.mutableData16(),
-                                               c.data.data16(), c.rows,
-                                               c.cols);
-            buf.tile.append(std::move(t), c.elems());
-        }
-    } else {
-        buf.rows = c.rows;
-        buf.cols = c.cols;
-        if (c.hasData())
-            buf.tile.append(std::move(c.data), c.elems());
+    buf.rows = u.transpose ? c.cols : c.rows;
+    buf.cols = u.transpose ? c.rows : c.cols;
+    if (!c.hasData())
+        co_return;
+    if (!u.transpose) {
+        buf.tile.append(std::move(c.data), c.elems());
+        co_return;
     }
+    // Transposition is a transform: fill a fresh pooled tile (the
+    // incoming chunk may be shared and stays immutable). Layout
+    // conversion goes through the active kernel table; every table's
+    // transpose (both widths) is bit-identical (pure data movement), so
+    // the ISA choice cannot move payload values here. 16-bit dtypes
+    // share the u16 ladder.
+    sim::TileRef t = sim::TilePool::instance().acquire(c.elems(), c.dtype);
+    if (c.dtype == Dtype::F32)
+        kernel::active().transpose(t.mutableData(), c.data.data(), c.rows,
+                                   c.cols);
+    else
+        kernel::active().transpose_u16(t.mutableData16(), c.data.data16(),
+                                       c.rows, c.cols);
+    buf.tile.append(std::move(t), c.elems());
 }
 
 sim::Task
-MemBFu::sendPart(const isa::MemBUop &u, TileBuffer &buf)
+MemBFu::drainPart(const isa::MemBUop &, TileBuffer &buf)
 {
-    (void)u;
-    rsn_assert(buf.rows > 0, "%s sending before any load", name().c_str());
     sim::Chunk c = sliceChunk(buf, 0, buf.rows, 0);
     countOut(c);
     co_await out(mesh_dst_).send(std::move(c));
-}
-
-sim::Task
-MemBFu::runKernel(const isa::Uop &uop)
-{
-    const auto &u = std::get<isa::MemBUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.load)
-        recv_to_ping_ = !recv_to_ping_;
-
-    if (u.load && u.send) {
-        sim::Task ld = loadPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await ld;
-        co_await snd;
-    } else if (u.load) {
-        co_await loadPart(u, recv_buf);
-    } else if (u.send) {
-        co_await sendPart(u, send_buf);
-    }
-}
-
-void
-MemBFu::resetKernelState()
-{
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
 }
 
 // ---------------------------------------------------------------- MemC --
 
 MemCFu::MemCFu(sim::Engine &eng, FuId id, FuId mme_src, FuId ddr,
                double flops_per_tick)
-    : Fu(eng, id), mme_src_(mme_src), ddr_(ddr),
+    : PingPongFu(eng, id), mme_src_(mme_src), ddr_(ddr),
       flops_per_tick_(flops_per_tick)
 {
     rsn_assert(flops_per_tick > 0, "bad MemC rate");
 }
 
 sim::Task
-MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
+MemCFu::fillPart(const isa::MemCUop &u, TileBuffer &buf)
 {
     // Assemble the tile from the partner MME as a gather view: every
     // chunk payload is adopted as a segment (a refcount move), never
@@ -330,7 +310,7 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
 
     // Accuracy policy: the fused non-MM operators always compute in
     // FP32. A typed staged tile is upconverted once, before the first
-    // fused op; sendPart downconverts to the uOP's out_dtype on the way
+    // fused op; drainPart downconverts to the uOP's out_dtype on the way
     // out. Conversions are free in simulated time (they ride the same
     // pipeline as the operators themselves) — see docs/datapath.md.
     if (u.add_residual || u.softmax || u.gelu || u.layernorm ||
@@ -456,12 +436,16 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
 }
 
 sim::Task
-MemCFu::sendPart(const isa::MemCUop &u, TileBuffer &buf)
+MemCFu::drainPart(const isa::MemCUop &u, TileBuffer &buf)
 {
-    rsn_assert(buf.rows > 0, "%s sending before any recv", name().c_str());
-    if (u.store) {
-        sim::Stream &o = out(ddr_);
-        auto pieces = sliceRows(buf.rows, u.send_chunks);
+    // The same slices go to DDR (store) and then to a mesh (send_mme).
+    const auto pieces = sliceRows(buf.rows, u.send_chunks);
+    const std::pair<bool, FuId> sinks[] = {{u.store, ddr_},
+                                           {u.send_mme, u.send_dest}};
+    for (const auto &sink : sinks) {
+        if (!sink.first)
+            continue;
+        sim::Stream &o = out(sink.second);
         for (std::uint32_t i = 0; i < pieces.size(); ++i) {
             sim::Chunk c = sliceChunkAs(buf, pieces[i].first,
                                         pieces[i].second, i, u.out_dtype);
@@ -469,47 +453,6 @@ MemCFu::sendPart(const isa::MemCUop &u, TileBuffer &buf)
             co_await o.send(std::move(c));
         }
     }
-    if (u.send_mme) {
-        sim::Stream &o = out(u.send_dest);
-        auto pieces = sliceRows(buf.rows, u.send_chunks);
-        for (std::uint32_t i = 0; i < pieces.size(); ++i) {
-            sim::Chunk c = sliceChunkAs(buf, pieces[i].first,
-                                        pieces[i].second, i, u.out_dtype);
-            countOut(c);
-            co_await o.send(std::move(c));
-        }
-    }
-}
-
-sim::Task
-MemCFu::runKernel(const isa::Uop &uop)
-{
-    const auto &u = std::get<isa::MemCUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.recv)
-        recv_to_ping_ = !recv_to_ping_;
-
-    // RCEV (plus its fused operator) overlaps SEND of the previous tile
-    // (paper Fig. 11).
-    if (u.recv && (u.store || u.send_mme)) {
-        sim::Task rc = recvPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await rc;
-        co_await snd;
-    } else if (u.recv) {
-        co_await recvPart(u, recv_buf);
-    } else if (u.store || u.send_mme) {
-        co_await sendPart(u, send_buf);
-    }
-}
-
-void
-MemCFu::resetKernelState()
-{
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
 }
 
 } // namespace rsn::fu

@@ -41,46 +41,65 @@ struct TileBuffer {
     bool hasData() const { return !tile.empty(); }
 };
 
+/**
+ * The ping-pong driver the three scratchpads share (paper Fig. 7b /
+ * Fig. 11). A uOP of type @p U may fill one buffer (load / receive) and
+ * drain the other (send / store). A fill flips the phase, and a uOP that
+ * does both runs the two halves concurrently. Subclasses supply only the
+ * halves.
+ */
+template <typename U>
+class PingPongFu : public Fu
+{
+  public:
+    using Fu::Fu;
+
+  protected:
+    sim::Task runKernel(const isa::Uop &uop) final;
+    void resetKernelState() final;
+
+    virtual sim::Task fillPart(const U &u, TileBuffer &buf) = 0;
+    virtual sim::Task drainPart(const U &u, TileBuffer &buf) = 0;
+
+  private:
+    TileBuffer ping_, pong_;
+    bool fill_ping_ = true;
+};
+
+extern template class PingPongFu<isa::MemAUop>;
+extern template class PingPongFu<isa::MemBUop>;
+extern template class PingPongFu<isa::MemCUop>;
+
 /** LHS scratchpad. Sends row-slices of the buffered tile toward MeshA. */
-class MemAFu : public Fu
+class MemAFu : public PingPongFu<isa::MemAUop>
 {
   public:
     MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
-    void resetKernelState() override;
+    sim::Task fillPart(const isa::MemAUop &u, TileBuffer &buf) override;
+    sim::Task drainPart(const isa::MemAUop &u, TileBuffer &buf) override;
 
   private:
-    sim::Task loadPart(const isa::MemAUop &u, TileBuffer &buf);
-    sim::Task sendPart(const isa::MemAUop &u, TileBuffer &buf);
-
     FuId mesh_dst_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
 };
 
 /** RHS scratchpad. Broadcasts the buffered tile toward MeshB. */
-class MemBFu : public Fu
+class MemBFu : public PingPongFu<isa::MemBUop>
 {
   public:
     MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
-    void resetKernelState() override;
+    sim::Task fillPart(const isa::MemBUop &u, TileBuffer &buf) override;
+    sim::Task drainPart(const isa::MemBUop &u, TileBuffer &buf) override;
 
   private:
-    sim::Task loadPart(const isa::MemBUop &u, TileBuffer &buf);
-    sim::Task sendPart(const isa::MemBUop &u, TileBuffer &buf);
-
     FuId mesh_dst_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
 };
 
 /** Output scratchpad with fused non-MM operators. */
-class MemCFu : public Fu
+class MemCFu : public PingPongFu<isa::MemCUop>
 {
   public:
     /**
@@ -93,18 +112,13 @@ class MemCFu : public Fu
            double flops_per_tick);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
-    void resetKernelState() override;
+    sim::Task fillPart(const isa::MemCUop &u, TileBuffer &buf) override;
+    sim::Task drainPart(const isa::MemCUop &u, TileBuffer &buf) override;
 
   private:
-    sim::Task recvPart(const isa::MemCUop &u, TileBuffer &buf);
-    sim::Task sendPart(const isa::MemCUop &u, TileBuffer &buf);
-
     FuId mme_src_;
     FuId ddr_;
     double flops_per_tick_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
 };
 
 /** Split @p total rows into @p slices near-equal extents (first gets

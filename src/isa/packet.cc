@@ -29,7 +29,6 @@ class ByteWriter
         u32(v >> 32);
     }
     void fuId(FuId f) { u8((static_cast<int>(f.type) << 4) | f.index); }
-    void flag(bool b) { u8(b ? 1 : 0); }
 
   private:
     std::vector<std::uint8_t> &out_;
@@ -73,12 +72,28 @@ class ByteReader
         return FuId{static_cast<FuType>(v >> 4),
                     static_cast<std::uint8_t>(v & 0xf)};
     }
-    bool flag() { return u8() != 0; }
 
   private:
     const std::vector<std::uint8_t> &in_;
     std::size_t &pos_;
 };
+
+/** @{ A dtype tag rides in two spare bits of a uOP's flag field,
+ *  starting at bit @p shift (uop.hh: the wire sizes do not grow). */
+static_assert(kNumDtypes <= 4, "dtype tags get two flag bits");
+
+unsigned
+dtypeBits(Dtype d, int shift)
+{
+    return (static_cast<unsigned>(d) & 3u) << shift;
+}
+
+Dtype
+dtypeFromBits(unsigned flags, int shift)
+{
+    return static_cast<Dtype>((flags >> shift) & 3u);
+}
+/** @} */
 
 void
 serializeUop(ByteWriter &w, const Uop &u)
@@ -89,12 +104,14 @@ serializeUop(ByteWriter &w, const Uop &u)
             if constexpr (std::is_same_v<T, MmeUop>) {
                 w.u16(v.reps); w.u16(v.k_steps);
                 w.u16(v.tile_m); w.u16(v.tile_k); w.u16(v.tile_n);
-                w.u8((v.add_bias << 0) | (v.accum_k << 1));
+                w.u8((v.add_bias << 0) | (v.accum_k << 1) |
+                     dtypeBits(v.out_dtype, 2));
             } else if constexpr (std::is_same_v<T, DdrUop>) {
                 w.u32(static_cast<std::uint32_t>(v.addr));
                 w.u32(v.stride_offset);
                 w.u16(v.stride_count);
-                w.u8((v.load << 0) | (v.store << 1));
+                w.u8((v.load << 0) | (v.store << 1) |
+                     dtypeBits(v.dtype, 2));
                 w.fuId(v.dest); w.fuId(v.src);
                 w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
             } else if constexpr (std::is_same_v<T, LpddrUop>) {
@@ -102,7 +119,7 @@ serializeUop(ByteWriter &w, const Uop &u)
                 w.u32(v.stride_offset);
                 w.u16(v.stride_count);
                 w.fuId(v.dest);
-                w.flag(v.load_bias);
+                w.u8((v.load_bias << 0) | dtypeBits(v.dtype, 2));
                 w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
             } else if constexpr (std::is_same_v<T, MeshUop>) {
                 w.u32(v.repeats);
@@ -128,7 +145,7 @@ serializeUop(ByteWriter &w, const Uop &u)
                 w.u16((v.recv << 0) | (v.store << 1) | (v.send_mme << 2) |
                       (v.softmax << 3) | (v.gelu << 4) |
                       (v.layernorm << 5) | (v.scale_shift << 6) |
-                      (v.add_residual << 7));
+                      (v.add_residual << 7) | dtypeBits(v.out_dtype, 8));
             } else if constexpr (std::is_same_v<T, HaltUop>) {
                 w.u8(0xff);
             }
@@ -146,6 +163,7 @@ deserializeUop(ByteReader &r, FuType opcode)
         v.tile_m = r.u16(); v.tile_k = r.u16(); v.tile_n = r.u16();
         std::uint8_t f = r.u8();
         v.add_bias = f & 1; v.accum_k = f & 2;
+        v.out_dtype = dtypeFromBits(f, 2);
         return v;
       }
       case FuType::Ddr: {
@@ -154,6 +172,7 @@ deserializeUop(ByteReader &r, FuType opcode)
         v.stride_count = r.u16();
         std::uint8_t f = r.u8();
         v.load = f & 1; v.store = f & 2;
+        v.dtype = dtypeFromBits(f, 2);
         v.dest = r.fuId(); v.src = r.fuId();
         v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
         return v;
@@ -162,7 +181,10 @@ deserializeUop(ByteReader &r, FuType opcode)
         LpddrUop v;
         v.addr = r.u32(); v.stride_offset = r.u32();
         v.stride_count = r.u16();
-        v.dest = r.fuId(); v.load_bias = r.flag();
+        v.dest = r.fuId();
+        std::uint8_t f = r.u8();
+        v.load_bias = f & 1;
+        v.dtype = dtypeFromBits(f, 2);
         v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
         return v;
       }
@@ -206,6 +228,7 @@ deserializeUop(ByteReader &r, FuType opcode)
         v.recv = f & 1; v.store = f & 2; v.send_mme = f & 4;
         v.softmax = f & 8; v.gelu = f & 16; v.layernorm = f & 32;
         v.scale_shift = f & 64; v.add_residual = f & 128;
+        v.out_dtype = dtypeFromBits(f, 8);
         return v;
       }
       default:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "fu/mem_fus.hh"
@@ -33,7 +34,6 @@ memC(int i)
 }
 
 constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
 constexpr FuId kDdr{FuType::Ddr, 0};
 constexpr FuId kLpddr{FuType::Lpddr, 0};
 
@@ -41,6 +41,137 @@ std::uint32_t
 ceilDiv(std::uint32_t a, std::uint32_t b)
 {
     return (a + b - 1) / b;
+}
+
+/** @{ uOP constructors for the fields every mapping sets. Narrower uOP
+ *  fields take the low bits, as a plain assignment would. */
+isa::MmeUop
+mmeUop(std::uint32_t reps, std::uint32_t k_steps, std::uint32_t m,
+       std::uint32_t k, std::uint32_t n, Dtype out)
+{
+    isa::MmeUop u;
+    u.reps = reps;
+    u.k_steps = k_steps;
+    u.tile_m = m;
+    u.tile_k = k;
+    u.tile_n = n;
+    u.out_dtype = out;
+    return u;
+}
+
+/** A MemA fill: load a rows x cols LHS tile from DDR. */
+isa::MemAUop
+memAFill(std::uint32_t rows, std::uint32_t cols, std::uint32_t slices)
+{
+    isa::MemAUop u;
+    u.rows = rows;
+    u.cols = cols;
+    u.slices = slices;
+    u.src = kDdr;
+    u.load = true;
+    return u;
+}
+
+/** A MemB fill: load a rows x cols RHS tile from @p src. */
+isa::MemBUop
+memBFill(std::uint32_t rows, std::uint32_t cols, FuId src,
+         bool transpose = false)
+{
+    isa::MemBUop u;
+    u.rows = rows;
+    u.cols = cols;
+    u.src = src;
+    u.load = true;
+    u.transpose = transpose;
+    return u;
+}
+
+/** A MemC fill: receive a rows x cols tile from the partner MME, to be
+ *  emitted later in @p send_chunks pieces of @p out. */
+isa::MemCUop
+memCFill(std::uint32_t rows, std::uint32_t cols, std::uint32_t send_chunks,
+         Dtype out)
+{
+    isa::MemCUop u;
+    u.rows = rows;
+    u.cols = cols;
+    u.recv_chunks = 1;
+    u.send_chunks = send_chunks;
+    u.recv = true;
+    u.out_dtype = out;
+    return u;
+}
+/** @} */
+
+/** The MemA/MemB drain of @p fill: a send of its geometry only. */
+template <typename U>
+U
+sendOnly(const U &fill)
+{
+    U u;
+    u.rows = fill.rows;
+    u.cols = fill.cols;
+    if constexpr (std::is_same_v<U, isa::MemAUop>)
+        u.slices = fill.slices;
+    u.send = true;
+    return u;
+}
+
+/** The MemC drain of @p fill: the same tile with no receive and no fused
+ *  operator, stored to DDR or, given @p mesh, re-injected into it. */
+isa::MemCUop
+memCDrain(isa::MemCUop fill, FuId mesh = kNoFu)
+{
+    fill.recv = fill.softmax = fill.gelu = fill.layernorm = false;
+    fill.scale_shift = fill.add_residual = false;
+    fill.store = mesh == kNoFu;
+    fill.send_mme = !fill.store;
+    fill.send_dest = mesh;
+    return fill;
+}
+
+/** @p fill that also drains the other buffer: the steady-state uOP of a
+ *  double-buffered scratchpad (Fig. 7b load ∥ send, Fig. 11 RCEV ∥ SEND). */
+template <typename U>
+U
+withDrain(U fill, const U &drain)
+{
+    if constexpr (std::is_same_v<U, isa::MemCUop>) {
+        fill.store = drain.store;
+        fill.send_mme = drain.send_mme;
+        fill.send_dest = drain.send_dest;
+    } else {
+        fill.send = drain.send;
+    }
+    return fill;
+}
+
+/** A single-block DDR/LPDDR uOP: @p rows x @p cols elements from element
+ *  (@p row, @p col) of row-major tensor @p t, @p dtype on the device. */
+template <typename U>
+U
+blockOf(const TensorInfo &t, Addr row, Addr col, std::uint32_t rows,
+        std::uint32_t cols, Dtype dtype)
+{
+    U u;
+    u.addr = t.addr + (row * t.cols + col) * sizeof(float);
+    u.rows = rows;
+    u.cols = cols;
+    u.pitch = t.cols;
+    u.dtype = dtype;
+    return u;
+}
+
+/** Head @p h's seq x dhead block of attention tensor @p t: the heads of
+ *  one batch sit side by side from column @p col_off, batches stack. */
+isa::DdrUop
+headBlock(const AttentionBlock &a, const TensorInfo &t,
+          std::uint32_t col_off, std::uint32_t h, Dtype dtype)
+{
+    return blockOf<isa::DdrUop>(
+        t, Addr(h / a.heads_per_batch) * a.seq,
+        col_off + Addr(h % a.heads_per_batch) * a.dhead, a.seq, a.dhead,
+        dtype);
 }
 
 } // namespace
@@ -99,8 +230,9 @@ spansOverlap(std::pair<Addr, Addr> a, std::pair<Addr, Addr> b)
 } // namespace
 
 void
-ProgramBuilder::emitDdrLoad(isa::DdrUop u, std::uint32_t drain)
+ProgramBuilder::emitDdrLoad(FuId dest, isa::DdrUop u, std::uint32_t drain)
 {
+    u.dest = dest;
     u.load = true;
     u.store = false;
     // True data dependencies override overlap: any pending store whose
@@ -132,8 +264,9 @@ ProgramBuilder::emitDdrLoad(isa::DdrUop u, std::uint32_t drain)
 }
 
 void
-ProgramBuilder::queueDdrStore(isa::DdrUop u)
+ProgramBuilder::queueDdrStore(FuId src, isa::DdrUop u)
 {
+    u.src = src;
     u.load = false;
     u.store = true;
     if (opts_.interleave_load_store) {
@@ -141,6 +274,13 @@ ProgramBuilder::queueDdrStore(isa::DdrUop u)
     } else {
         emit(FuType::Ddr, 1, std::move(u));
     }
+}
+
+void
+ProgramBuilder::emitLpddrLoad(FuId dest, isa::LpddrUop u)
+{
+    u.dest = dest;
+    emit(FuType::Lpddr, 0x1, u);
 }
 
 void
@@ -183,53 +323,36 @@ ProgramBuilder::tensor(const std::string &name) const
     rsn_fatal("tensor '%s' used before declaration", name.c_str());
 }
 
-std::vector<isa::Uop>
-ProgramBuilder::buildPingPong(
-    const std::function<isa::Uop(std::uint64_t)> &load_uop,
-    const std::function<isa::Uop(std::uint64_t)> &both_uop,
-    isa::Uop send_uop, std::uint64_t chunks) const
+template <typename U>
+ProgramBuilder::UopStream
+ProgramBuilder::pingPong(std::uint8_t mask, std::initializer_list<U> fills,
+                         const U &drain, std::uint64_t chunks) const
 {
-    std::vector<isa::Uop> out;
-    if (chunks == 0)
-        return out;
-    if (opts_.double_buffer && chunks > 1) {
-        out.push_back(load_uop(0));
-        for (std::uint64_t i = 1; i < chunks; ++i)
-            out.push_back(both_uop(i));
-        out.push_back(send_uop);
-    } else {
-        for (std::uint64_t i = 0; i < chunks; ++i) {
-            out.push_back(load_uop(i));
-            out.push_back(send_uop);
+    UopStream s{mask, {}};
+    const bool overlap = opts_.double_buffer && chunks > 1;
+    for (std::uint64_t i = 0; i < chunks; ++i) {
+        const U &fill = fills.begin()[i % fills.size()];
+        if (overlap) {
+            s.uops.push_back(i == 0 ? fill : withDrain(fill, drain));
+        } else {
+            s.uops.push_back(fill);
+            s.uops.push_back(drain);
         }
     }
-    return out;
-}
-
-ProgramBuilder::UopStream
-ProgramBuilder::pingPongStream(std::uint8_t mask, isa::Uop first,
-                               isa::Uop both, isa::Uop second,
-                               std::uint64_t chunks) const
-{
-    return UopStream{
-        mask, buildPingPong([&](std::uint64_t) { return first; },
-                            [&](std::uint64_t) { return both; },
-                            std::move(second), chunks)};
+    if (overlap)
+        s.uops.push_back(drain);
+    return s;
 }
 
 void
-ProgramBuilder::emitInterleaved(FuType op, std::vector<UopStream> streams,
-                                std::size_t block)
+ProgramBuilder::emitInterleaved(FuType op,
+                                const std::vector<UopStream> &streams)
 {
-    // Auto block size: stay below the per-FU uOP FIFO so one stream's
-    // block never wedges the shared second-level decoder.
-    if (block == 0)
-        block = std::max<std::size_t>(
-            1, std::min<std::size_t>(4,
-                                     mach_.config().uop_fifo_depth - 1));
-    rsn_assert(block < std::max<std::size_t>(
-                   2, mach_.config().uop_fifo_depth),
-               "interleave block must fit the uOP FIFO");
+    // Stay below the per-FU uOP FIFO so one stream's block never wedges
+    // the shared second-level decoder.
+    const std::size_t depth = mach_.config().uop_fifo_depth;
+    rsn_assert(depth > 0, "interleave block must fit the uOP FIFO");
+    const std::size_t block = std::clamp<std::size_t>(depth - 1, 1, 4);
     std::vector<std::size_t> pos(streams.size(), 0);
     bool more = true;
     while (more) {
@@ -243,6 +366,25 @@ ProgramBuilder::emitInterleaved(FuType op, std::vector<UopStream> streams,
             if (pos[s] < streams[s].uops.size())
                 more = true;
         }
+    }
+}
+
+template <typename RouteFn>
+void
+ProgramBuilder::emitLaneMeshes(std::uint32_t heads, std::uint32_t lanes,
+                               RouteFn routes)
+{
+    for (auto [upto, repeats] : {std::pair{lanes, heads / lanes},
+                                 std::pair{heads % lanes, 1u}}) {
+        if (upto == 0 || repeats == 0)
+            continue;
+        isa::MeshUop ma;
+        ma.repeats = repeats;
+        ma.mode = isa::MeshMode::Parallel;
+        isa::MeshUop mb = ma;
+        routes(upto, ma.routes, mb.routes);
+        emit(FuType::MeshA, 0x1, ma);
+        emit(FuType::MeshB, 0x1, mb);
     }
 }
 
@@ -325,8 +467,11 @@ ProgramBuilder::genLinear(const LinearLayer &l)
         b_t = declareTensor("b." + l.name, 1, l.n, true);
     if (l.layernorm)
         ln_t = declareTensor("ln." + l.name, 2, l.n, true);
-    if (l.residual)
+    if (l.residual) {
         res_t = tensor(l.residual_src);
+        rsn_assert(res_t.cols == l.n,
+                   "linear '%s': residual width mismatch", l.name.c_str());
+    }
     const TensorInfo out_t = declareTensor(l.out_name, l.m, l.n, false);
 
     const std::uint32_t TM = std::min(opts_.out_tile_m, l.m);
@@ -345,100 +490,42 @@ ProgramBuilder::genLinear(const LinearLayer &l)
     mm_flops_ += 2ull * l.m * l.k * l.n;
 
     // --- Control plane for the on-chip FUs (few compressed packets). ---
-    isa::MmeUop mu;
-    mu.reps = tiles;
-    mu.k_steps = k_steps;
-    mu.tile_m = TM;
-    mu.tile_k = KS;
-    mu.tile_n = TN;
+    const auto all_mme = std::uint8_t((1u << n_mme) - 1);
+    isa::MmeUop mu = mmeUop(tiles, k_steps, TM, KS, TN, act);
     mu.add_bias = l.bias;
-    mu.accum_k = true;
-    mu.out_dtype = act;
-    emit(FuType::Mme, std::uint8_t((1u << n_mme) - 1), mu);
+    emit(FuType::Mme, all_mme, mu);
 
     const std::uint64_t lhs_chunks = std::uint64_t(tiles) * k_steps;
-    isa::MemAUop al;
-    al.rows = TM;
-    al.cols = KS;
-    al.slices = static_cast<std::uint8_t>(n_mme);
-    al.src = kDdr;
-    al.load = true;
-    isa::MemAUop ab = al;
-    ab.send = true;
-    isa::MemAUop as;
-    as.rows = TM;
-    as.cols = KS;
-    as.slices = al.slices;
-    as.send = true;
-    emitInterleaved(
-        FuType::MemA,
-        {UopStream{0x1, buildPingPong([&](std::uint64_t) {
-                                          return isa::Uop{al};
-                                      },
-                                      [&](std::uint64_t) {
-                                          return isa::Uop{ab};
-                                      },
-                                      isa::Uop{as}, lhs_chunks)}});
+    const isa::MemAUop al = memAFill(TM, KS, n_mme);
+    emitInterleaved(FuType::MemA,
+                    {pingPong(0x1, {al}, sendOnly(al), lhs_chunks)});
 
     const std::uint64_t rhs_chunks =
         std::uint64_t(tiles) * (k_steps + (l.bias ? 1 : 0));
-    isa::MemBUop bl;
-    bl.rows = KS;
-    bl.cols = TN;
-    bl.src = kLpddr;
-    bl.load = true;
-    isa::MemBUop bb = bl;
-    bb.send = true;
-    isa::MemBUop bs;
-    bs.rows = KS;
-    bs.cols = TN;
-    bs.send = true;
-    emitInterleaved(
-        FuType::MemB,
-        {UopStream{0x1, buildPingPong([&](std::uint64_t) {
-                                          return isa::Uop{bl};
-                                      },
-                                      [&](std::uint64_t) {
-                                          return isa::Uop{bb};
-                                      },
-                                      isa::Uop{bs}, rhs_chunks)}});
+    const isa::MemBUop bl = memBFill(KS, TN, kLpddr);
+    emitInterleaved(FuType::MemB,
+                    {pingPong(0x1, {bl}, sendOnly(bl), rhs_chunks)});
 
     isa::MeshUop ma;
     ma.repeats = static_cast<std::uint32_t>(lhs_chunks);
     ma.mode = isa::MeshMode::Distribute;
-    for (int i = 0; i < n_mme; ++i)
-        ma.routes.push_back({memA(0), mme(i)});
-    emit(FuType::MeshA, 0x1, ma);
-
     isa::MeshUop mb;
     mb.repeats = static_cast<std::uint32_t>(rhs_chunks);
     mb.mode = isa::MeshMode::Broadcast;
-    for (int i = 0; i < n_mme; ++i)
+    for (int i = 0; i < n_mme; ++i) {
+        ma.routes.push_back({memA(0), mme(i)});
         mb.routes.push_back({memB(0), mme(i)});
+    }
+    emit(FuType::MeshA, 0x1, ma);
     emit(FuType::MeshB, 0x1, mb);
 
-    isa::MemCUop cr;
-    cr.rows = TM / n_mme;
-    cr.cols = TN;
-    cr.recv_chunks = 1;
-    cr.send_chunks = static_cast<std::uint16_t>(opts_.store_split);
-    cr.recv = true;
+    isa::MemCUop cr = memCFill(TM / n_mme, TN, opts_.store_split, act);
     cr.gelu = l.gelu;
     cr.layernorm = l.layernorm;
     cr.scale_shift = l.layernorm;
     cr.add_residual = l.residual;
-    cr.out_dtype = act;
-    isa::MemCUop cb = cr;
-    cb.store = true;
-    isa::MemCUop cs = cb;
-    cs.recv = false;
-    cs.gelu = false;
-    cs.layernorm = false;
-    cs.scale_shift = false;
-    cs.add_residual = false;
     emitInterleaved(FuType::MemC,
-                    {pingPongStream(std::uint8_t((1u << n_mme) - 1), cr,
-                                    cb, cs, tiles)});
+                    {pingPong(all_mme, {cr}, memCDrain(cr), tiles)});
 
     // --- Off-chip movement: the fine-grained DDR/LPDDR order. ---
     const std::uint32_t pieces_per_tile = n_mme * opts_.store_split;
@@ -457,88 +544,47 @@ ProgramBuilder::genLinear(const LinearLayer &l)
             const std::uint32_t tm = std::min(TM, l.m - m0);
 
             if (l.bias) {
-                isa::LpddrUop lb;
-                lb.addr = b_t.addr + Addr(n0) * sizeof(float);
-                lb.rows = 1;
-                lb.cols = tn;
-                lb.pitch = l.n;
-                lb.dest = memB(0);
+                auto lb = blockOf<isa::LpddrUop>(b_t, 0, n0, 1, tn,
+                                                 Dtype::F32);
                 lb.load_bias = true;
-                emit(FuType::Lpddr, 0x1, lb);
+                emitLpddrLoad(memB(0), lb);
             }
             for (std::uint32_t ks = 0; ks < k_steps; ++ks) {
                 const std::uint32_t k0 = ks * KS;
                 const std::uint32_t kk = std::min(KS, l.k - k0);
-
-                isa::LpddrUop lw;
-                lw.addr = w_t.addr +
-                          (Addr(k0) * l.n + n0) * sizeof(float);
-                lw.rows = kk;
-                lw.cols = tn;
-                lw.pitch = l.n;
-                lw.dest = memB(0);
-                lw.dtype = wgt;
-                emit(FuType::Lpddr, 0x1, lw);
-
-                isa::DdrUop dl;
-                dl.addr = in_t.addr +
-                          (Addr(m0) * l.k + k0) * sizeof(float);
-                dl.rows = tm;
-                dl.cols = kk;
-                dl.pitch = l.k;
-                dl.dest = memA(0);
-                dl.dtype = act;
-                emitDdrLoad(dl, drain);
+                emitLpddrLoad(memB(0), blockOf<isa::LpddrUop>(
+                                           w_t, k0, n0, kk, tn, wgt));
+                emitDdrLoad(memA(0),
+                            blockOf<isa::DdrUop>(in_t, m0, k0, tm, kk, act),
+                            drain);
             }
 
             auto slices = fu::sliceRows(tm, n_mme);
             if (l.residual) {
-                for (int i = 0; i < n_mme; ++i) {
-                    isa::DdrUop dr;
-                    dr.addr = res_t.addr +
-                              (Addr(m0 + slices[i].first) * l.n + n0) *
-                                  sizeof(float);
-                    dr.rows = slices[i].second;
-                    dr.cols = tn;
-                    dr.pitch = l.n;
-                    dr.dest = memC(i);
-                    dr.dtype = act;
-                    emitDdrLoad(dr, drain);
-                }
+                for (int i = 0; i < n_mme; ++i)
+                    emitDdrLoad(memC(i),
+                                blockOf<isa::DdrUop>(
+                                    res_t, m0 + slices[i].first, n0,
+                                    slices[i].second, tn, act),
+                                drain);
             }
             if (l.layernorm) {
-                for (int i = 0; i < n_mme; ++i) {
-                    isa::LpddrUop lp;
-                    lp.addr = ln_t.addr + Addr(n0) * sizeof(float);
-                    lp.rows = 2;
-                    lp.cols = tn;
-                    lp.pitch = l.n;
-                    lp.dest = memC(i);
-                    lp.load_bias = true;
-                    emit(FuType::Lpddr, 0x1, lp);
-                }
+                auto lp = blockOf<isa::LpddrUop>(ln_t, 0, n0, 2, tn,
+                                                 Dtype::F32);
+                lp.load_bias = true;
+                for (int i = 0; i < n_mme; ++i)
+                    emitLpddrLoad(memC(i), lp);
             }
 
-            for (int i = 0; i < n_mme; ++i) {
-                auto pieces =
-                    fu::sliceRows(slices[i].second, opts_.store_split);
-                for (const auto &[poff, prows] : pieces) {
-                    isa::DdrUop ds;
-                    ds.addr =
-                        out_t.addr +
-                        (Addr(m0 + slices[i].first + poff) * l.n + n0) *
-                            sizeof(float);
-                    ds.rows = prows;
-                    ds.cols = tn;
-                    ds.pitch = l.n;
-                    ds.src = memC(i);
-                    // Stores take their byte count from the arriving
-                    // chunk; the tag is stamped for stride-merge
-                    // uniformity and tracing.
-                    ds.dtype = act;
-                    queueDdrStore(ds);
-                }
-            }
+            // Stores take their byte count from the arriving chunk; the
+            // tag is stamped for stride-merge uniformity and tracing.
+            for (int i = 0; i < n_mme; ++i)
+                for (const auto &[poff, prows] :
+                     fu::sliceRows(slices[i].second, opts_.store_split))
+                    queueDdrStore(memC(i),
+                                  blockOf<isa::DdrUop>(
+                                      out_t, m0 + slices[i].first + poff,
+                                      n0, prows, tn, act));
         }
     }
 }
@@ -605,176 +651,54 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
     // starves behind a full uOP FIFO (Sec. 3.3).
     std::vector<UopStream> mema_streams, memb_streams, memc_streams;
     for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-        isa::MmeUop m1;
-        m1.reps = static_cast<std::uint16_t>(count);
-        m1.k_steps = 1;
-        m1.tile_m = S;
-        m1.tile_k = D;
-        m1.tile_n = S;
-        m1.out_dtype = act;
-        emit(FuType::Mme, mask, m1);
-
-        isa::MmeUop m2;
-        m2.reps = static_cast<std::uint16_t>(count);
-        m2.k_steps = 1;
-        m2.tile_m = S;
-        m2.tile_k = S;
-        m2.tile_n = D;
-        m2.out_dtype = act;
-        emit(FuType::Mme, std::uint8_t(mask << 3), m2);
+        const auto mask2 = std::uint8_t(mask << 3);
+        emit(FuType::Mme, mask, mmeUop(count, 1, S, D, S, act));
+        emit(FuType::Mme, mask2, mmeUop(count, 1, S, S, D, act));
 
         // MemA: one Q tile per head.
-        isa::MemAUop al;
-        al.rows = S;
-        al.cols = D;
-        al.slices = 1;
-        al.src = kDdr;
-        al.load = true;
-        isa::MemAUop ab = al;
-        ab.send = true;
-        isa::MemAUop as;
-        as.rows = S;
-        as.cols = D;
-        as.slices = 1;
-        as.send = true;
-        mema_streams.push_back(pingPongStream(mask, al, ab, as, count));
+        const isa::MemAUop q = memAFill(S, D, 1);
+        mema_streams.push_back(pingPong(mask, {q}, sendOnly(q), count));
 
-        // MemB: K (transposed) then V per head -> alternating pattern.
-        isa::MemBUop kload;
-        kload.rows = S;
-        kload.cols = D;
-        kload.src = kDdr;
-        kload.load = true;
-        kload.transpose = true;
-        isa::MemBUop vload = kload;
-        vload.transpose = false;
-        isa::MemBUop send_only;
-        send_only.rows = S;
-        send_only.cols = D;
-        send_only.send = true;
-        auto kv_load = [&](std::uint64_t c) -> isa::Uop {
-            return c % 2 == 0 ? kload : vload;
-        };
-        auto kv_both = [&](std::uint64_t c) -> isa::Uop {
-            isa::MemBUop u = (c % 2 == 0) ? kload : vload;
-            u.send = true;
-            return u;
-        };
-        memb_streams.push_back(UopStream{
-            mask, buildPingPong(kv_load, kv_both, isa::Uop{send_only},
-                                2ull * count)});
+        // MemB: K (transposed) then V per head, a two-entry fill cycle.
+        const isa::MemBUop k = memBFill(S, D, kDdr, true);
+        const isa::MemBUop v = memBFill(S, D, kDdr);
+        memb_streams.push_back(
+            pingPong(mask, {k, v}, sendOnly(k), 2ull * count));
 
         // MemC lane-0 group: softmax and re-injection into MeshA.
-        isa::MemCUop c1r;
-        c1r.rows = S;
-        c1r.cols = S;
-        c1r.recv_chunks = 1;
-        c1r.send_chunks = 1;
-        c1r.recv = true;
-        c1r.softmax = true;
-        c1r.out_dtype = act;
-        isa::MemCUop c1b = c1r;
-        c1b.send_mme = true;
-        c1b.send_dest = kMeshA;
-        isa::MemCUop c1s = c1b;
-        c1s.recv = false;
-        c1s.softmax = false;
-        memc_streams.push_back(pingPongStream(mask, c1r, c1b, c1s,
-                                              count));
+        isa::MemCUop probs = memCFill(S, S, 1, act);
+        probs.softmax = true;
+        memc_streams.push_back(
+            pingPong(mask, {probs}, memCDrain(probs, kMeshA), count));
 
         // MemC lane-3 group: context tiles draining to DDR.
-        isa::MemCUop c2r;
-        c2r.rows = S;
-        c2r.cols = D;
-        c2r.recv_chunks = 1;
-        c2r.send_chunks = 1;
-        c2r.recv = true;
-        c2r.out_dtype = act;
-        isa::MemCUop c2b = c2r;
-        c2b.store = true;
-        isa::MemCUop c2s = c2b;
-        c2s.recv = false;
-        memc_streams.push_back(pingPongStream(std::uint8_t(mask << 3),
-                                              c2r, c2b, c2s, count));
+        const isa::MemCUop ctx = memCFill(S, D, 1, act);
+        memc_streams.push_back(
+            pingPong(mask2, {ctx}, memCDrain(ctx), count));
     }
-    emitInterleaved(FuType::MemA, std::move(mema_streams));
-    emitInterleaved(FuType::MemB, std::move(memb_streams));
-    emitInterleaved(FuType::MemC, std::move(memc_streams));
+    emitInterleaved(FuType::MemA, mema_streams);
+    emitInterleaved(FuType::MemB, memb_streams);
+    emitInterleaved(FuType::MemC, memc_streams);
 
-    // Meshes: one Parallel uop with per-lane route cycles; lanes with an
-    // extra head get one more pass.
-    const std::uint32_t base = H / lanes;
-    const std::uint32_t rem = H % lanes;
-    auto emit_mesh = [&](std::uint32_t upto_lane, std::uint32_t repeats) {
-        isa::MeshUop ma;
-        ma.repeats = repeats;
-        ma.mode = isa::MeshMode::Parallel;
-        isa::MeshUop mb = ma;
-        for (std::uint32_t l = 0; l < upto_lane; ++l) {
-            ma.routes.push_back({memA(l), mme(l)});           // Q
-            ma.routes.push_back({memC(l), mme(3 + l)});       // probs
-            mb.routes.push_back({memB(l), mme(l)});           // K^T
-            mb.routes.push_back({memB(l), mme(3 + l)});       // V
+    // Lane l: Q and probabilities through MeshA, K^T and V through MeshB.
+    emitLaneMeshes(H, lanes, [](std::uint32_t upto, auto &ma, auto &mb) {
+        for (std::uint32_t l = 0; l < upto; ++l) {
+            ma.push_back({memA(l), mme(l)});
+            ma.push_back({memC(l), mme(3 + l)});
+            mb.push_back({memB(l), mme(l)});
+            mb.push_back({memB(l), mme(3 + l)});
         }
-        emit(FuType::MeshA, 0x1, ma);
-        emit(FuType::MeshB, 0x1, mb);
-    };
-    if (base > 0)
-        emit_mesh(lanes, base);
-    if (rem > 0)
-        emit_mesh(rem, 1);
+    });
 
     // Off-chip movement per head, in head order. Context stores lag the
     // load front by a pipeline depth of two heads per lane.
     store_lag_ = 2 * lanes;
     for (std::uint32_t h = 0; h < H; ++h) {
         const std::uint32_t lane = h % lanes;
-        const std::uint32_t b = h / a.heads_per_batch;
-        const std::uint32_t j = h % a.heads_per_batch;
-
-        auto head_block = [&](const TensorInfo &t, std::uint32_t col_off) {
-            return t.addr +
-                   (Addr(b) * S * t.cols + col_off + Addr(j) * D) *
-                       sizeof(float);
-        };
-
-        isa::DdrUop q;
-        q.addr = head_block(q_t, a.q_col_off);
-        q.rows = S;
-        q.cols = D;
-        q.pitch = q_t.cols;
-        q.dest = memA(lane);
-        q.dtype = act;
-        emitDdrLoad(q, 1);
-
-        isa::DdrUop kk;
-        kk.addr = head_block(k_t, a.k_col_off);
-        kk.rows = S;
-        kk.cols = D;
-        kk.pitch = k_t.cols;
-        kk.dest = memB(lane);
-        kk.dtype = act;
-        emitDdrLoad(kk, 1);
-
-        isa::DdrUop v;
-        v.addr = head_block(v_t, a.v_col_off);
-        v.rows = S;
-        v.cols = D;
-        v.pitch = v_t.cols;
-        v.dest = memB(lane);
-        v.dtype = act;
-        emitDdrLoad(v, 1);
-
-        isa::DdrUop ctx;
-        ctx.addr = out_t.addr +
-                   (Addr(b) * S * out_t.cols + Addr(j) * D) *
-                       sizeof(float);
-        ctx.rows = S;
-        ctx.cols = D;
-        ctx.pitch = out_t.cols;
-        ctx.src = memC(3 + lane);
-        ctx.dtype = act;
-        queueDdrStore(ctx);
+        emitDdrLoad(memA(lane), headBlock(a, q_t, a.q_col_off, h, act), 1);
+        emitDdrLoad(memB(lane), headBlock(a, k_t, a.k_col_off, h, act), 1);
+        emitDdrLoad(memB(lane), headBlock(a, v_t, a.v_col_off, h, act), 1);
+        queueDdrStore(memC(3 + lane), headBlock(a, out_t, 0, h, act));
     }
 }
 
@@ -786,67 +710,26 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
     const std::uint32_t H = a.heads;
     const std::uint32_t lanes = std::min<std::uint32_t>(6, H);
     const std::uint32_t batch = H / a.heads_per_batch;
-    const std::uint32_t n_mem = 3;
+    constexpr std::uint32_t n_mem = 3;
     const std::uint32_t score_split = 4;
 
-    const TensorInfo &q_t = tensor(a.q_src);
-    const TensorInfo &k_t = tensor(a.k_src);
-    const TensorInfo &v_t = tensor(a.v_src);
+    const TensorInfo q_t = tensor(a.q_src);
+    const TensorInfo k_t = tensor(a.k_src);
+    const TensorInfo v_t = tensor(a.v_src);
     const TensorInfo sc_t =
         declareTensor("scores." + a.name, H * S, S, false);
     const TensorInfo out_t = declareTensor(
         a.out_name, batch * S, a.heads_per_batch * D, false);
     const Dtype act = mach_.config().precision.attention_activations;
 
-    auto head_block = [&](const TensorInfo &t, std::uint32_t col_off,
-                          std::uint32_t h) {
-        const std::uint32_t b = h / a.heads_per_batch;
-        const std::uint32_t j = h % a.heads_per_batch;
-        return t.addr +
-               (Addr(b) * S * t.cols + col_off + Addr(j) * D) *
-                   sizeof(float);
-    };
-
-    // Mesh routes shared by both passes: MemA_i feeds MME_i and MME_{i+3}
-    // alternately; same for MemB.
-    auto emit_meshes = [&](std::uint32_t upto_lane,
-                           std::uint32_t repeats) {
-        isa::MeshUop ma;
-        ma.repeats = repeats;
-        ma.mode = isa::MeshMode::Parallel;
-        isa::MeshUop mb = ma;
-        for (std::uint32_t l = 0; l < upto_lane; ++l) {
-            ma.routes.push_back({memA(l % n_mem), mme(l)});
-            mb.routes.push_back({memB(l % n_mem), mme(l)});
-        }
-        // Reorder so routes sharing a source are adjacent in lane order.
-        std::stable_sort(ma.routes.begin(), ma.routes.end(),
-                         [](const isa::MeshRoute &x,
-                            const isa::MeshRoute &y) {
-                             return x.src.index < y.src.index;
-                         });
-        std::stable_sort(mb.routes.begin(), mb.routes.end(),
-                         [](const isa::MeshRoute &x,
-                            const isa::MeshRoute &y) {
-                             return x.src.index < y.src.index;
-                         });
-        emit(FuType::MeshA, 0x1, ma);
-        emit(FuType::MeshB, 0x1, mb);
-    };
-
+    // Pass 1: scores = Q K^T, softmaxed, spilled to DDR. Pass 2:
+    // context = scores V.
     auto gen_pass = [&](bool first_pass) {
         std::vector<UopStream> mema_streams, memb_streams, memc_streams;
-        // MME control.
-        for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-            isa::MmeUop mm;
-            mm.reps = static_cast<std::uint16_t>(count);
-            mm.k_steps = 1;
-            mm.tile_m = S;
-            mm.tile_k = first_pass ? D : S;
-            mm.tile_n = first_pass ? S : D;
-            mm.out_dtype = act;
-            emit(FuType::Mme, mask, mm);
-        }
+        for (const auto &[count, mask] : lanesByCount(H, lanes))
+            emit(FuType::Mme, mask,
+                 mmeUop(count, 1, S, first_pass ? D : S,
+                        first_pass ? S : D, act));
         // MemA/MemB: chunk counts per scratchpad instance (a scratchpad
         // serves lanes l and l+3).
         for (std::uint32_t i = 0; i < n_mem; ++i) {
@@ -855,129 +738,57 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
                                            : 0);
             if (cnt == 0)
                 continue;
-            isa::MemAUop al;
-            al.rows = S;
-            al.cols = first_pass ? D : S;
-            al.slices = 1;
-            al.src = kDdr;
-            al.load = true;
-            isa::MemAUop ab = al;
-            ab.send = true;
-            isa::MemAUop as = al;
+            const auto mask = std::uint8_t(1u << i);
+            const isa::MemAUop al = memAFill(S, first_pass ? D : S, 1);
+            isa::MemAUop as = al;  // this mapping's drain keeps its src
             as.load = false;
             as.send = true;
-            mema_streams.push_back(pingPongStream(
-                std::uint8_t(1u << i), al, ab, as, cnt));
-
-            isa::MemBUop bl;
-            bl.rows = S;
-            bl.cols = D;
-            bl.src = kDdr;
-            bl.load = true;
-            bl.transpose = first_pass;
-            isa::MemBUop bb = bl;
-            bb.send = true;
-            isa::MemBUop bs;
-            bs.rows = S;
-            bs.cols = D;
-            bs.send = true;
-            memb_streams.push_back(pingPongStream(
-                std::uint8_t(1u << i), bl, bb, bs, cnt));
+            mema_streams.push_back(pingPong(mask, {al}, as, cnt));
+            const isa::MemBUop bl = memBFill(S, D, kDdr, first_pass);
+            memb_streams.push_back(pingPong(mask, {bl}, sendOnly(bl), cnt));
         }
         // MemC: per lane.
         for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-            isa::MemCUop cr;
-            cr.rows = S;
-            cr.cols = first_pass ? S : D;
-            cr.recv_chunks = 1;
-            cr.send_chunks = static_cast<std::uint16_t>(
-                first_pass ? score_split : 1);
-            cr.recv = true;
+            isa::MemCUop cr = memCFill(S, first_pass ? S : D,
+                                       first_pass ? score_split : 1, act);
             cr.softmax = first_pass;
-            cr.out_dtype = act;
-            isa::MemCUop cb = cr;
-            cb.store = true;
-            isa::MemCUop cs = cb;
-            cs.recv = false;
-            cs.softmax = false;
-            memc_streams.push_back(pingPongStream(mask, cr, cb, cs,
-                                                  count));
+            memc_streams.push_back(
+                pingPong(mask, {cr}, memCDrain(cr), count));
         }
-        emitInterleaved(FuType::MemA, std::move(mema_streams));
-        emitInterleaved(FuType::MemB, std::move(memb_streams));
-        emitInterleaved(FuType::MemC, std::move(memc_streams));
-        const std::uint32_t base = H / lanes;
-        const std::uint32_t rem = H % lanes;
-        if (base > 0)
-            emit_meshes(lanes, base);
-        if (rem > 0)
-            emit_meshes(rem, 1);
+        emitInterleaved(FuType::MemA, mema_streams);
+        emitInterleaved(FuType::MemB, memb_streams);
+        emitInterleaved(FuType::MemC, memc_streams);
+        // MemA_i and MemB_i feed MME_i and MME_{i+3}; each mesh lists its
+        // routes grouped by source scratchpad.
+        emitLaneMeshes(H, lanes, [&](std::uint32_t upto, auto &ma,
+                                     auto &mb) {
+            for (std::uint32_t i = 0; i < n_mem; ++i)
+                for (std::uint32_t l = i; l < upto; l += n_mem) {
+                    ma.push_back({memA(i), mme(l)});
+                    mb.push_back({memB(i), mme(l)});
+                }
+        });
 
         // DDR traffic in head order.
         store_lag_ = lanes * (first_pass ? score_split : 1);
         for (std::uint32_t h = 0; h < H; ++h) {
             const std::uint32_t lane = h % lanes;
+            const FuId lhs = memA(lane % n_mem), rhs = memB(lane % n_mem);
             if (first_pass) {
-                isa::DdrUop q;
-                q.addr = head_block(q_t, a.q_col_off, h);
-                q.rows = S;
-                q.cols = D;
-                q.pitch = q_t.cols;
-                q.dest = memA(lane % n_mem);
-                q.dtype = act;
-                emitDdrLoad(q, 2);
-
-                isa::DdrUop kk;
-                kk.addr = head_block(k_t, a.k_col_off, h);
-                kk.rows = S;
-                kk.cols = D;
-                kk.pitch = k_t.cols;
-                kk.dest = memB(lane % n_mem);
-                kk.dtype = act;
-                emitDdrLoad(kk, 2);
-
-                auto pieces = fu::sliceRows(S, score_split);
-                for (const auto &[poff, prows] : pieces) {
-                    isa::DdrUop ds;
-                    ds.addr = sc_t.addr +
-                              (Addr(h) * S + poff) * S * sizeof(float);
-                    ds.rows = prows;
-                    ds.cols = S;
-                    ds.pitch = S;
-                    ds.src = memC(lane);
-                    ds.dtype = act;
-                    queueDdrStore(ds);
-                }
+                emitDdrLoad(lhs, headBlock(a, q_t, a.q_col_off, h, act), 2);
+                emitDdrLoad(rhs, headBlock(a, k_t, a.k_col_off, h, act), 2);
+                for (const auto &[poff, prows] :
+                     fu::sliceRows(S, score_split))
+                    queueDdrStore(memC(lane), blockOf<isa::DdrUop>(
+                                                  sc_t, Addr(h) * S + poff,
+                                                  0, prows, S, act));
             } else {
-                isa::DdrUop sc;
-                sc.addr = sc_t.addr + Addr(h) * S * S * sizeof(float);
-                sc.rows = S;
-                sc.cols = S;
-                sc.pitch = S;
-                sc.dest = memA(lane % n_mem);
-                sc.dtype = act;
-                emitDdrLoad(sc, 1);
-
-                isa::DdrUop v;
-                v.addr = head_block(v_t, a.v_col_off, h);
-                v.rows = S;
-                v.cols = D;
-                v.pitch = v_t.cols;
-                v.dest = memB(lane % n_mem);
-                v.dtype = act;
-                emitDdrLoad(v, 1);
-
-                isa::DdrUop ctx;
-                ctx.addr = out_t.addr +
-                           (Addr(h / a.heads_per_batch) * S * out_t.cols +
-                            Addr(h % a.heads_per_batch) * D) *
-                               sizeof(float);
-                ctx.rows = S;
-                ctx.cols = D;
-                ctx.pitch = out_t.cols;
-                ctx.src = memC(lane);
-                ctx.dtype = act;
-                queueDdrStore(ctx);
+                emitDdrLoad(lhs,
+                            blockOf<isa::DdrUop>(sc_t, Addr(h) * S, 0, S, S,
+                                                 act),
+                            1);
+                emitDdrLoad(rhs, headBlock(a, v_t, a.v_col_off, h, act), 1);
+                queueDdrStore(memC(lane), headBlock(a, out_t, 0, h, act));
             }
         }
     };

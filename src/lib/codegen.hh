@@ -26,7 +26,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -76,10 +76,12 @@ class ProgramBuilder
         isa::Uop uop;
     };
 
-    /** @{ Raw-stream emission. */
+    /** @{ Raw-stream emission. The DDR/LPDDR forms stamp the endpoint
+     *  FU and the direction onto a block uOP. */
     void emit(FuType op, std::uint8_t mask, isa::Uop u);
-    void emitDdrLoad(isa::DdrUop u, std::uint32_t drain);
-    void queueDdrStore(isa::DdrUop u);
+    void emitDdrLoad(FuId dest, isa::DdrUop u, std::uint32_t drain);
+    void queueDdrStore(FuId src, isa::DdrUop u);
+    void emitLpddrLoad(FuId dest, isa::LpddrUop u);
     void flushStores();
     /** @} */
 
@@ -103,31 +105,37 @@ class ProgramBuilder
     };
 
     /**
-     * Build the prolog / steady / epilog uOP pattern for a ping-pong
-     * scratchpad processing @p chunks chunks: with double buffering this
-     * is [load(0)] [loadSend(j)]x(chunks-1) [send]; without it,
-     * alternating [load(j)][send] pairs. @p load_uop may vary by chunk
-     * index (e.g. MemB's K-transpose / V alternation).
+     * A ping-pong scratchpad stream for the FU instances in @p mask:
+     * @p chunks fills, fill j being @p fills[j % fills.size()] (MemB's
+     * K/V alternation is a two-entry cycle), each followed by a
+     * @p drain of the same chunk. With double buffering a fill also
+     * drains the previous chunk from the other buffer, giving
+     * [fill] [fill+drain]x(chunks-1) [drain]; without it, fill and drain
+     * alternate.
      */
-    std::vector<isa::Uop>
-    buildPingPong(const std::function<isa::Uop(std::uint64_t)> &load_uop,
-                  const std::function<isa::Uop(std::uint64_t)> &both_uop,
-                  isa::Uop send_uop, std::uint64_t chunks) const;
-
-    /** Convenience: a ping-pong pattern with chunk-independent uOPs. */
-    UopStream pingPongStream(std::uint8_t mask, isa::Uop first,
-                             isa::Uop both, isa::Uop second,
-                             std::uint64_t chunks) const;
+    template <typename U>
+    UopStream pingPong(std::uint8_t mask, std::initializer_list<U> fills,
+                       const U &drain, std::uint64_t chunks) const;
 
     /**
-     * Emit several same-FU-type streams round-robin in blocks of at most
-     * @p block uOPs. Blocks must stay below the per-FU uOP FIFO depth:
-     * delivering one group's whole stream before the next would fill the
-     * first group's queues, stall the shared second-level decoder, and
-     * starve the sibling FUs — the deadlock scenario of Sec. 3.3.
+     * Emit several same-FU-type streams round-robin in blocks sized below
+     * the per-FU uOP FIFO depth: delivering one group's whole stream
+     * before the next would fill the first group's queues, stall the
+     * shared second-level decoder, and starve the sibling FUs — the
+     * deadlock scenario of Sec. 3.3.
      */
-    void emitInterleaved(FuType op, std::vector<UopStream> streams,
-                         std::size_t block = 0);  // 0 = auto from FIFO
+    void emitInterleaved(FuType op, const std::vector<UopStream> &streams);
+
+    /**
+     * The MeshA/MeshB uOP pair of a lane-parallel attention pass over
+     * @p heads heads on @p lanes lanes: heads / lanes passes over every
+     * lane, then one pass over the first heads % lanes lanes.
+     * @p routes(upto, meshA_routes, meshB_routes) lists the routes of
+     * lanes [0, upto).
+     */
+    template <typename RouteFn>
+    void emitLaneMeshes(std::uint32_t heads, std::uint32_t lanes,
+                        RouteFn routes);
 
     /** Pack the raw stream into packets with window/reuse compression. */
     isa::RsnProgram pack() const;

@@ -8,6 +8,7 @@
 #include "common/log.hh"
 #include "lib/runner.hh"
 #include "lib/schedule.hh"
+#include "sim/tile_pool.hh"
 
 namespace rsn::serve {
 
@@ -471,6 +472,10 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
 ServingReport
 ServingSim::run()
 {
+    // pool_trimmed counts what this simulation's quarantines release.
+    // Start from empty free lists, so buffers an earlier simulation on
+    // this thread left in its TilePool are never counted.
+    sim::TilePool::instance().trim();
     const std::vector<Arrival> arrivals =
         spec_.trace.empty()
             ? poissonArrivals(spec_.seed, spec_.meanGapTicks(),

@@ -177,13 +177,7 @@ TEST(GemmKernel, RegisterTablesAreBitIdentical)
     // and one vexp over different vector widths. Each accumulator takes
     // its products in the same k order under every width, so f32 and
     // bf16 GEMM must agree to the bit, on both the full-block and the
-    // ragged-tail paths. GELU agrees on whole vectors only: elements
-    // past the last full vector go through the scalar approxGeluf,
-    // which forms the tanh argument as (k1*x)*x + k0 where vgelu uses
-    // fma(x*x, k1, k0), and differs from vgelu in the last bit for ~2%
-    // of inputs. Tables of different widths send different elements to
-    // that tail, so the GELU leg uses lengths that are multiples of
-    // every vector width.
+    // ragged-tail paths, and so must GELU at every length.
     std::vector<const kernel::KernelTable *> tables;
     for (const auto *t : selectableTables())
         if (t->isa == kernel::Isa::Avx512 || t->isa == kernel::Isa::Avx2 ||
@@ -237,7 +231,8 @@ TEST(GemmKernel, RegisterTablesAreBitIdentical)
             }
 
     std::uniform_real_distribution<float> wide(-12.f, 12.f);
-    for (std::size_t n : {16u, 32u, 48u, 160u, 1024u}) {
+    for (std::size_t n : {1u, 7u, 16u, 17u, 32u, 33u, 48u, 160u, 1000u,
+                          1024u}) {
         std::vector<float> x(n);
         for (auto &v : x)
             v = wide(rng);

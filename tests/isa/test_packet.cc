@@ -188,6 +188,10 @@ TEST(Assembler, RoundTripsEveryUopKind)
     m.tile_k = 128;
     m.tile_n = 1024;
     m.add_bias = true;
+    m.out_dtype = Dtype::Bf16;
+    mme.mops.emplace_back(m);
+    m.out_dtype = Dtype::F16;
+    m.accum_k = false;
     mme.mops.emplace_back(m);
     prog.append(mme);
 
@@ -214,6 +218,12 @@ TEST(Assembler, RoundTripsEveryUopKind)
     d.rows = 768;
     d.cols = 128;
     d.pitch = 1024;
+    d.dtype = Dtype::Bf16;
+    ddr.mops.emplace_back(d);
+    d.load = false;
+    d.store = true;
+    d.src = {FuType::MemC, 5};
+    d.dtype = Dtype::F16;
     ddr.mops.emplace_back(d);
     prog.append(ddr);
 
@@ -227,6 +237,11 @@ TEST(Assembler, RoundTripsEveryUopKind)
     l.rows = 2;
     l.cols = 1024;
     l.pitch = 1024;
+    lp.mops.emplace_back(l);
+    l.load_bias = false;
+    l.dtype = Dtype::Bf16;
+    lp.mops.emplace_back(l);
+    l.dtype = Dtype::F16;
     lp.mops.emplace_back(l);
     prog.append(lp);
 
@@ -255,6 +270,10 @@ TEST(Assembler, RoundTripsEveryUopKind)
     c.store = true;
     c.softmax = true;
     c.scale_shift = true;
+    c.add_residual = true;
+    c.out_dtype = Dtype::Bf16;
+    mc.mops.emplace_back(c);
+    c.out_dtype = Dtype::F16;
     mc.mops.emplace_back(c);
     prog.append(mc);
 

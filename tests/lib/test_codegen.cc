@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
 #include "core/machine.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
@@ -204,6 +207,124 @@ TEST(Codegen, RejectsLayerNormOnPartialWidthTiles)
     auto opts = ScheduleOptions::optimized();
     opts.out_tile_n = 1024;
     EXPECT_THROW((void)compileModel(mach, mod, opts), std::logic_error);
+}
+
+/** FNV-1a over the assembled program bytes and the tensor table (name,
+ *  address, shape): any change to an emitted uOP field, its order, the
+ *  packing or the address map moves the digest. */
+std::uint64_t
+programDigest(const CompiledModel &c)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto byte = [&](std::uint8_t b) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    };
+    auto word = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            byte(std::uint8_t(v >> (8 * i)));
+    };
+    for (std::uint8_t b : isa::assemble(c.program))
+        byte(b);
+    for (const auto &t : c.tensors) {
+        for (char ch : t.name)
+            byte(std::uint8_t(ch));
+        byte(0);
+        word(t.addr);
+        word(t.rows);
+        word(t.cols);
+    }
+    return h;
+}
+
+TEST(Codegen, ProgramDigestsPinned)
+{
+    // Byte-exact pins of every shipped model's program under each
+    // Table 9 preset and both precision policies. A codegen refactor
+    // must leave all of them in place; a deliberate schedule change
+    // re-records them (the failure message prints the new table).
+    struct Pin {
+        const char *model, *preset, *precision;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"tiny", "noOptimize", "f32", 0x1a63f36e79d1554dull},
+        {"tiny", "noOptimize", "bf16", 0x93fbad6d2e2a8b7full},
+        {"tiny", "bwOptimized", "f32", 0x02be552e9344ca0eull},
+        {"tiny", "bwOptimized", "bf16", 0x4b6979faddee9270ull},
+        {"tiny", "optimized", "f32", 0xd23fb22deda79f94ull},
+        {"tiny", "optimized", "bf16", 0x29d9dc1dca5a04f1ull},
+        {"bert", "noOptimize", "f32", 0x703c91996c5359fbull},
+        {"bert", "noOptimize", "bf16", 0x1b4896d8f2ff7afbull},
+        {"bert", "bwOptimized", "f32", 0x3a751ef0124aab01ull},
+        {"bert", "bwOptimized", "bf16", 0x864c7f80fb9707ffull},
+        {"bert", "optimized", "f32", 0x6cdd95557713b23bull},
+        {"bert", "optimized", "bf16", 0xf59db658c81f055dull},
+        {"vit", "noOptimize", "f32", 0xf14d67ae1f8e27bbull},
+        {"vit", "noOptimize", "bf16", 0x039a6eee58f7c9cfull},
+        {"vit", "bwOptimized", "f32", 0xb1ec1e34f84d43aaull},
+        {"vit", "bwOptimized", "bf16", 0x84ddb54600dda072ull},
+        {"vit", "optimized", "f32", 0xfcac57de59952414ull},
+        {"vit", "optimized", "bf16", 0xb3fde5ea8404e567ull},
+        {"ncf", "noOptimize", "f32", 0x1b3ee7ca7f74ee5full},
+        {"ncf", "noOptimize", "bf16", 0x2b944bd82de4c3cbull},
+        {"ncf", "bwOptimized", "f32", 0x80fad282c343a006ull},
+        {"ncf", "bwOptimized", "bf16", 0xd2f48c41eec49eadull},
+        {"ncf", "optimized", "f32", 0xefc975519bca9d03ull},
+        {"ncf", "optimized", "bf16", 0x2cda9d8db264f842ull},
+        {"mlp", "noOptimize", "f32", 0x5929b9b8c81c8cafull},
+        {"mlp", "noOptimize", "bf16", 0x9474d2d768664047ull},
+        {"mlp", "bwOptimized", "f32", 0x2e89a8226c437525ull},
+        {"mlp", "bwOptimized", "bf16", 0x71da943b0f79d550ull},
+        {"mlp", "optimized", "f32", 0xb566a89b742afdfaull},
+        {"mlp", "optimized", "bf16", 0xdff2d6bc8fb77c41ull},
+    };
+    const std::pair<const char *, Model> models[] = {
+        {"tiny", tinyEncoder(2, 32, 64, 4, 128, true)},
+        {"bert", bertLargeEncoder(6, 512, true)},
+        {"vit", vitEncoder(6, false)},  // unfused: three Q/K/V sources
+        {"ncf", ncf(6)},
+        {"mlp", mlp(6)},
+    };
+    const std::pair<const char *, ScheduleOptions> presets[] = {
+        {"noOptimize", ScheduleOptions::noOptimize()},
+        {"bwOptimized", ScheduleOptions::bwOptimized()},
+        {"optimized", ScheduleOptions::optimized()},
+    };
+    std::string table;
+    std::size_t i = 0;
+    for (const auto &[mname, model] : models) {
+        for (const auto &[pname, opts] : presets) {
+            for (const char *prec : {"f32", "bf16"}) {
+                auto cfg = core::MachineConfig::vck190();
+                if (std::string(prec) == "bf16") {
+                    cfg.precision.linear_weights = Dtype::Bf16;
+                    cfg.precision.linear_activations = Dtype::Bf16;
+                    cfg.precision.attention_activations = Dtype::Bf16;
+                }
+                core::RsnMachine mach(cfg);
+                const std::uint64_t d =
+                    programDigest(compileModel(mach, model, opts));
+                char line[128];
+                std::snprintf(line, sizeof line,
+                              "{\"%s\", \"%s\", \"%s\", 0x%016" PRIx64
+                              "ull},\n",
+                              mname, pname, prec, d);
+                table += line;
+                if (i < std::size(pins)) {
+                    EXPECT_STREQ(pins[i].model, mname);
+                    EXPECT_STREQ(pins[i].preset, pname);
+                    EXPECT_STREQ(pins[i].precision, prec);
+                    EXPECT_EQ(pins[i].digest, d)
+                        << mname << " / " << pname << " / " << prec;
+                }
+                ++i;
+            }
+        }
+    }
+    EXPECT_EQ(i, std::size(pins));
+    if (::testing::Test::HasFailure())
+        std::printf("current digests:\n%s", table.c_str());
 }
 
 } // namespace
