@@ -62,6 +62,13 @@ struct FuId {
 /** Invalid / unset FU id. */
 inline constexpr FuId kNoFu{};
 
+/** @{ Instance @p i of a multi-instance FU type. */
+constexpr FuId mme(int i) { return {FuType::Mme, std::uint8_t(i)}; }
+constexpr FuId memA(int i) { return {FuType::MemA, std::uint8_t(i)}; }
+constexpr FuId memB(int i) { return {FuType::MemB, std::uint8_t(i)}; }
+constexpr FuId memC(int i) { return {FuType::MemC, std::uint8_t(i)}; }
+/** @} */
+
 /** Clock frequencies of the modeled VCK190 platform. */
 struct ClockSpec {
     double plHz = 260e6;    ///< PL fabric clock (simulation tick).
@@ -82,6 +89,17 @@ inline Tick
 msToTicks(double ms, double pl_hz = 260e6)
 {
     return static_cast<Tick>(ms * 1e-3 * pl_hz);
+}
+
+/** SplitMix64 finalizer: the one bit mixer behind every seeded decision
+ *  (fault injection, serving arrivals and retries). Pure and stateless. */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
 }
 
 /** Convert a GB/s bandwidth into bytes per PL tick. */

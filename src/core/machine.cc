@@ -12,27 +12,6 @@ namespace rsn::core {
 
 namespace {
 
-FuId
-mme(int i)
-{
-    return {FuType::Mme, static_cast<std::uint8_t>(i)};
-}
-FuId
-memA(int i)
-{
-    return {FuType::MemA, static_cast<std::uint8_t>(i)};
-}
-FuId
-memB(int i)
-{
-    return {FuType::MemB, static_cast<std::uint8_t>(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, static_cast<std::uint8_t>(i)};
-}
-
 constexpr FuId kMeshA{FuType::MeshA, 0};
 constexpr FuId kMeshB{FuType::MeshB, 0};
 constexpr FuId kDdr{FuType::Ddr, 0};

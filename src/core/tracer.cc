@@ -5,52 +5,26 @@
 
 namespace rsn::core {
 
-Tracer::Tracer(RsnMachine &machine, Tick period)
-    : mach_(machine), period_(period ? period : 1)
+Tracer::Tracer(RsnMachine &machine)
+    : mach_(machine), spans_(machine.fus().size())
 {
-    open_label_.resize(mach_.fus().size());
-    open_since_.resize(mach_.fus().size(), 0);
-    // Seed the sampling loop; it reschedules itself while the machine
-    // has pending events (i.e. until the run quiesces).
-    mach_.engine().schedule(0, [this] { sample(); });
+    for (std::size_t i = 0; i < spans_.size(); ++i)
+        mach_.fus()[i]->setSpanSink(&spans_[i]);
 }
 
-void
-Tracer::sample()
+Tracer::~Tracer()
 {
-    ++samples_;
-    Tick now = mach_.engine().now();
-    const auto &fus = mach_.fus();
-    for (std::size_t i = 0; i < fus.size(); ++i) {
-        const auto &f = *fus[i];
-        std::string label;
-        if (f.halted())
-            label = "";
-        else if (f.inKernel())
-            label = "kernel";
-        // Stalled-on-uop shows as idle (gap), matching how a hardware
-        // timeline would look.
-        if (label != open_label_[i]) {
-            if (!open_label_[i].empty())
-                slices_.push_back(TraceSlice{f.name(), open_label_[i],
-                                             open_since_[i], now});
-            open_label_[i] = label;
-            open_since_[i] = now;
-        }
-    }
-    if (!mach_.engine().idle())
-        mach_.engine().schedule(period_, [this] { sample(); });
-    else {
-        // Close any open slices at quiesce.
-        for (std::size_t i = 0; i < fus.size(); ++i) {
-            if (!open_label_[i].empty()) {
-                slices_.push_back(TraceSlice{fus[i]->name(),
-                                             open_label_[i],
-                                             open_since_[i], now});
-                open_label_[i].clear();
-            }
-        }
-    }
+    for (const auto &f : mach_.fus())
+        f->setSpanSink(nullptr);
+}
+
+std::size_t
+Tracer::sliceCount() const
+{
+    std::size_t n = 0;
+    for (const auto &s : spans_)
+        n += s.size();
+    return n;
 }
 
 std::string
@@ -60,19 +34,20 @@ Tracer::toChromeJson() const
     // modeled time.
     const double us_per_tick = 1e6 / mach_.config().clocks.plHz;
     std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
-    for (const auto &s : slices_) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,"
-                      "\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
-                      s.label.c_str(), s.track.c_str(),
-                      s.begin * us_per_tick,
-                      (s.end - s.begin) * us_per_tick);
-        out += buf;
+    const char *sep = "";
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+        const std::string &track = mach_.fus()[i]->name();
+        for (const auto &s : spans_[i]) {
+            char buf[256];
+            std::snprintf(buf, sizeof(buf),
+                          "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,"
+                          "\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
+                          sep, s.kind, track.c_str(),
+                          s.begin * us_per_tick,
+                          (s.end - s.begin) * us_per_tick);
+            out += buf;
+            sep = ",\n";
+        }
     }
     out += "\n]}\n";
     return out;

@@ -1,14 +1,15 @@
 /**
  * @file
- * Execution tracer: records per-FU kernel activity and DRAM transfers
- * during a run and exports them as Chrome trace-event JSON
- * (chrome://tracing / Perfetto), giving the simulator an equivalent of
- * the paper's device-level visualizations: one timeline row per FU,
- * one slice per kernel, with stall structure visible as gaps.
+ * Execution tracer: records every FU kernel of a run and exports the
+ * spans as Chrome trace-event JSON (chrome://tracing / Perfetto), giving
+ * the simulator an equivalent of the paper's device-level
+ * visualizations: one timeline row per FU, one slice per kernel named by
+ * its uOP kind, with stall structure visible as gaps.
  *
- * Tracing hooks sample FU state on a fixed tick grid (cheap, bounded
- * memory) rather than instrumenting every kernel, so it can be attached
- * to any machine without touching the FU implementations.
+ * Each FU appends its kernel's [begin, end) in Fu::mainLoop, where it
+ * already brackets kernels for FuStats::busy_ticks (Fu::setSpanSink).
+ * The tracer schedules nothing, so a traced run takes exactly the ticks
+ * of an untraced one, and each FU's slices sum to its busy_ticks.
  */
 
 #ifndef RSN_CORE_TRACER_HH
@@ -21,29 +22,25 @@
 
 namespace rsn::core {
 
-/** One recorded activity slice. */
-struct TraceSlice {
-    std::string track;   ///< FU name.
-    std::string label;   ///< Kernel / state label.
-    Tick begin = 0;
-    Tick end = 0;
-};
-
 class Tracer
 {
   public:
-    /**
-     * Attach to @p machine and sample every @p period ticks. Must be
-     * constructed before RsnMachine::run (it schedules its own sampling
-     * events on the machine's engine).
-     */
-    Tracer(RsnMachine &machine, Tick period = 256);
+    /** Record @p machine's kernels (every run while attached); detaches
+     *  on destruction. */
+    explicit Tracer(RsnMachine &machine);
+    ~Tracer();
 
-    /** Recorded slices (coalesced per FU). */
-    const std::vector<TraceSlice> &slices() const { return slices_; }
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
-    /** Samples taken. */
-    std::uint64_t samples() const { return samples_; }
+    /** Recorded kernel spans, one list per FU in machine.fus() order. */
+    const std::vector<std::vector<fu::KernelSpan>> &spans() const
+    {
+        return spans_;
+    }
+
+    /** Total recorded slices. */
+    std::size_t sliceCount() const;
 
     /** Render as Chrome trace-event JSON (complete events, us scale). */
     std::string toChromeJson() const;
@@ -52,15 +49,8 @@ class Tracer
     bool writeChromeJson(const std::string &path) const;
 
   private:
-    void sample();
-
     RsnMachine &mach_;
-    Tick period_;
-    std::uint64_t samples_ = 0;
-    /** Open slice per FU index ("" = idle). */
-    std::vector<std::string> open_label_;
-    std::vector<Tick> open_since_;
-    std::vector<TraceSlice> slices_;
+    std::vector<std::vector<fu::KernelSpan>> spans_;
 };
 
 } // namespace rsn::core

@@ -50,12 +50,31 @@ blockBursts(std::uint32_t rows, std::uint32_t cols, std::uint32_t pitch,
     return (pitch == cols) ? 1 : rows;
 }
 
-// ----------------------------------------------------------------- DDR --
-
-DdrFu::DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-             mem::HostMemory &host, mem::LayoutKind layout)
+DramFu::DramFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
+               mem::HostMemory &host, mem::LayoutKind layout)
     : Fu(eng, id), chan_(chan), host_(host), layout_(layout)
 {
+}
+
+template <class U>
+sim::Task
+DramFu::loadBlock(const U &u)
+{
+    mem::DramRequest req{mem::Dir::Read,
+                         Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
+                         blockBursts(u.rows, u.cols, u.pitch, layout_)};
+    co_await chan_.access(req);
+    // F32 loads go straight into a pooled tile (strided memcpy fast
+    // path); typed loads convert at the DRAM boundary (loadTypedBlock).
+    sim::Chunk c =
+        host_.functional()
+            ? sim::makeTileChunk(u.rows, u.cols,
+                                 loadTypedBlock(host_, u.addr, u.pitch,
+                                                u.rows, u.cols, u.dtype))
+            : sim::makeChunk(u.rows, u.cols, 0, u.dtype);
+    stampEgress(c);
+    countOut(c);
+    co_await out(u.dest).send(std::move(c));
 }
 
 sim::Task
@@ -64,95 +83,42 @@ DdrFu::runKernel(const isa::Uop &uop)
     const auto &u = std::get<isa::DdrUop>(uop);
     rsn_assert(u.load != u.store,
                "DDR uOP must be exactly one of load/store");
-
-    for (std::uint32_t i = 0; i < u.stride_count; ++i) {
-        Addr addr = u.addr + std::uint64_t(i) * u.stride_offset;
-        if (u.load) {
-            mem::DramRequest req{mem::Dir::Read,
-                                 Bytes(u.rows) * u.cols *
-                                     dtypeBytes(u.dtype),
-                                 blockBursts(u.rows, u.cols, u.pitch,
-                                             layout_)};
-            co_await chan_.access(req);
-            sim::Chunk c;
-            if (host_.functional()) {
-                // F32 loads go straight into a pooled tile (strided
-                // memcpy fast path); typed loads convert at the DRAM
-                // boundary (see loadTypedBlock).
-                c = sim::makeTileChunk(
-                    u.rows, u.cols,
-                    loadTypedBlock(host_, addr, u.pitch, u.rows, u.cols,
-                                   u.dtype),
-                    i);
-            } else {
-                c = sim::makeChunk(u.rows, u.cols, i, u.dtype);
-            }
-            stampEgress(c);
-            countOut(c);
-            co_await out(u.dest).send(std::move(c));
-        } else {
-            sim::Chunk c = co_await in(u.src).recv();
-            countIn(c);
-            mem::DramRequest req{mem::Dir::Write, c.bytes(),
-                                 blockBursts(c.rows, c.cols, u.pitch,
-                                             layout_)};
-            co_await chan_.access(req);
-            if (c.hasData()) {
-                if (c.dtype == Dtype::F32) {
-                    host_.writeBlock(addr, u.pitch, c.rows, c.cols,
-                                     c.data.data(), c.elems());
-                } else {
-                    // Host truth stays FP32: upconvert through a
-                    // scratch pool tile before the write-back. DRAM
-                    // traffic above is the typed byte count.
-                    auto f32 =
-                        sim::TilePool::instance().acquire(c.elems());
-                    kernel::active().convert_rows_to_f32(
-                        f32.mutableData(), c.data.raw(), c.dtype,
-                        c.elems());
-                    host_.writeBlock(addr, u.pitch, c.rows, c.cols,
-                                     f32.data(), c.elems());
-                }
-            }
-        }
-    }
+    rsn_assert(u.stride_count == 1, "strided mOPs expand in the decoder");
+    return u.load ? loadBlock(u) : storeBlock(u);
 }
 
-// --------------------------------------------------------------- LPDDR --
-
-LpddrFu::LpddrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-                 mem::HostMemory &host, mem::LayoutKind layout)
-    : Fu(eng, id), chan_(chan), host_(host), layout_(layout)
+sim::Task
+DdrFu::storeBlock(const isa::DdrUop &u)
 {
+    sim::Chunk c = co_await in(u.src).recv();
+    countIn(c);
+    mem::DramRequest req{mem::Dir::Write, c.bytes(),
+                         blockBursts(c.rows, c.cols, u.pitch, layout_)};
+    co_await chan_.access(req);
+    if (!c.hasData())
+        co_return;
+    if (c.dtype == Dtype::F32) {
+        host_.writeBlock(u.addr, u.pitch, c.rows, c.cols, c.data.data(),
+                         c.elems());
+        co_return;
+    }
+    // Host truth stays FP32: upconvert through a scratch pool tile
+    // before the write-back. DRAM traffic above is the typed byte count.
+    auto f32 = sim::TilePool::instance().acquire(c.elems());
+    kernel::active().convert_rows_to_f32(f32.mutableData(), c.data.raw(),
+                                         c.dtype, c.elems());
+    host_.writeBlock(u.addr, u.pitch, c.rows, c.cols, f32.data(),
+                     c.elems());
 }
 
 sim::Task
 LpddrFu::runKernel(const isa::Uop &uop)
 {
     const auto &u = std::get<isa::LpddrUop>(uop);
-    for (std::uint32_t i = 0; i < u.stride_count; ++i) {
-        Addr addr = u.addr + std::uint64_t(i) * u.stride_offset;
-        rsn_assert(!u.load_bias || u.dtype == Dtype::F32,
-                   "bias / LN-parameter loads must stay FP32");
-        mem::DramRequest req{mem::Dir::Read,
-                             Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
-                             blockBursts(u.rows, u.cols, u.pitch,
-                                         layout_)};
-        co_await chan_.access(req);
-        sim::Chunk c;
-        if (host_.functional()) {
-            c = sim::makeTileChunk(
-                u.rows, u.cols,
-                loadTypedBlock(host_, addr, u.pitch, u.rows, u.cols,
-                               u.dtype),
-                i);
-        } else {
-            c = sim::makeChunk(u.rows, u.cols, i, u.dtype);
-        }
-        stampEgress(c);
-        countOut(c);
-        co_await out(u.dest).send(std::move(c));
-    }
+    rsn_assert(!u.load_bias || u.dtype == Dtype::F32,
+               "bias / LN-parameter loads must stay FP32");
+    rsn_assert(u.stride_count == 1, "strided mOPs expand in the decoder");
+    return loadBlock(u);
 }
 
 } // namespace rsn::fu

@@ -22,38 +22,47 @@ namespace rsn::fu {
 std::uint32_t blockBursts(std::uint32_t rows, std::uint32_t cols,
                           std::uint32_t pitch, mem::LayoutKind kind);
 
-class DdrFu : public Fu
+/**
+ * What DdrFu and LpddrFu share: a DRAM channel, the host memory behind
+ * it, the tensor layout, and the load path. Both execute single-block
+ * uOPs only: the decoder expands every strided mOP (isa::expandMopInto).
+ */
+class DramFu : public Fu
 {
   public:
-    DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-          mem::HostMemory &host, mem::LayoutKind layout);
+    DramFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
+           mem::HostMemory &host, mem::LayoutKind layout);
 
     mem::DramChannel &channel() { return chan_; }
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    /** Read @p u's block over the channel and send it to @p u.dest. */
+    template <class U> sim::Task loadBlock(const U &u);
 
-  private:
     mem::DramChannel &chan_;
     mem::HostMemory &host_;
     mem::LayoutKind layout_;
 };
 
-class LpddrFu : public Fu
+class DdrFu : public DramFu
 {
   public:
-    LpddrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-            mem::HostMemory &host, mem::LayoutKind layout);
-
-    mem::DramChannel &channel() { return chan_; }
+    using DramFu::DramFu;
 
   protected:
     sim::Task runKernel(const isa::Uop &uop) override;
 
   private:
-    mem::DramChannel &chan_;
-    mem::HostMemory &host_;
-    mem::LayoutKind layout_;
+    sim::Task storeBlock(const isa::DdrUop &u);
+};
+
+class LpddrFu : public DramFu
+{
+  public:
+    using DramFu::DramFu;
+
+  protected:
+    sim::Task runKernel(const isa::Uop &uop) override;
 };
 
 } // namespace rsn::fu

@@ -133,7 +133,10 @@ Fu::mainLoop()
         in_kernel_ = true;
         Tick t0 = eng_.now();
         co_await runKernel(u);
-        stats_.busy_ticks += eng_.now() - t0;
+        const Tick t1 = eng_.now();
+        stats_.busy_ticks += t1 - t0;
+        if (spans_) [[unlikely]]
+            spans_->push_back({isa::uopKindName(u), t0, t1});
         ++stats_.uops;
         in_kernel_ = false;
     }

@@ -39,6 +39,13 @@ struct FuStats {
     std::uint64_t flops = 0;      ///< Arithmetic work performed.
 };
 
+/** One executed kernel, as a tracer records it. */
+struct KernelSpan {
+    const char *kind;  ///< uOP kind (isa::uopKindName).
+    Tick begin;
+    Tick end;
+};
+
 class Fu
 {
   public:
@@ -73,9 +80,6 @@ class Fu
     /** True once a Halt uOP terminated the kernel loop. */
     bool halted() const { return halted_; }
 
-    /** True while a kernel is executing (not stalled on the uOP queue). */
-    bool inKernel() const { return in_kernel_; }
-
     const FuStats &stats() const { return stats_; }
 
     /** @{ Port wiring (done by the machine builder). */
@@ -104,6 +108,13 @@ class Fu
      * chunks consumed by Mem FUs are (maybe) bit-flipped and verified.
      */
     void setFaultInjector(sim::FaultInjector *fi);
+
+    /**
+     * Append every kernel's span to @p sink (null, the default, turns
+     * recording off). Recording schedules nothing, so a run takes the
+     * same ticks with it on or off; the spans sum to stats().busy_ticks.
+     */
+    void setSpanSink(std::vector<KernelSpan> *sink) { spans_ = sink; }
 
   protected:
     /** Execute one kernel; implemented per FU type. */
@@ -137,6 +148,7 @@ class Fu
     FuStats stats_;
     sim::FaultInjector *fault_ = nullptr;  ///< Null unless chaos is armed.
     std::uint32_t fault_site_ = 0;
+    std::vector<KernelSpan> *spans_ = nullptr;  ///< Null unless tracing.
     bool started_ = false;
     bool halted_ = false;
     bool in_kernel_ = false;

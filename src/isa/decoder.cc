@@ -1,5 +1,8 @@
 #include "isa/decoder.hh"
 
+#include <algorithm>
+#include <functional>
+
 #include "common/log.hh"
 
 namespace rsn::isa {
@@ -13,18 +16,12 @@ DecoderUnit::DecoderUnit(sim::Engine &eng, Config cfg)
 void
 DecoderUnit::attach(fu::Fu *f)
 {
-    rsn_assert(lookup(f->id()) == nullptr, "duplicate FU %s",
+    const FuId id = f->id();
+    rsn_assert(id.index < kMaxMaskBits, "%s outside the packet mask",
                f->name().c_str());
-    fus_.push_back(f);
-}
-
-fu::Fu *
-DecoderUnit::lookup(FuId id) const
-{
-    for (auto *f : fus_)
-        if (f->id() == id)
-            return f;
-    return nullptr;
+    fu::Fu *&slot = fus_[static_cast<int>(id.type)][id.index];
+    rsn_assert(slot == nullptr, "duplicate FU %s", f->name().c_str());
+    slot = f;
 }
 
 void
@@ -55,11 +52,7 @@ DecoderUnit::reset()
         type_done_[t] = false;
         uop_cache_[t].clear();
     }
-    packets_fetched_ = 0;
-    uops_issued_ = 0;
-    bytes_fetched_ = 0;
-    uop_expansions_ = 0;
-    uop_cache_replays_ = 0;
+    stats_ = {};
 }
 
 sim::Task
@@ -67,8 +60,8 @@ DecoderUnit::fetchLoop()
 {
     for (const RsnPacket &p : prog_->packets()) {
         co_await eng_.delay(cfg_.ticks_per_packet);
-        ++packets_fetched_;
-        bytes_fetched_ += p.wireBytes();
+        ++stats_.packets_fetched;
+        stats_.bytes_fetched += p.wireBytes();
         co_await pkt_ch_[static_cast<int>(p.opcode)]->send(&p);
     }
     // End-of-program sentinels.
@@ -86,43 +79,38 @@ DecoderUnit::typeLoop(FuType t)
         const RsnPacket *p = co_await ch.recv();
         if (!p)
             break;
-        // Expand the packet's mOP window once into the per-type uOP
-        // cache; the `reuse` replay passes (Fig. 8) then issue straight
-        // from it. The buffer is recycled across packets, so the
-        // expansion itself only allocates while a window grows beyond
-        // anything seen before. Issue order matches the expand-per-pass
-        // code exactly, so simulated timing is unchanged.
+        // Expand the window once into the uOP cache (see decoder.hh);
+        // the `reuse` replay passes issue straight from it.
         cache.clear();
         for (const Uop &mop : p->mops)
             expandMopInto(mop, cache);
-        uop_expansions_ += cache.size();
+        stats_.uop_expansions += cache.size();
+        // The FU instances the packet's mask selects, in index order.
+        std::array<fu::Fu *, kMaxMaskBits> targets;
+        std::size_t n = 0;
+        for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
+            if (!(p->mask & (1u << i)))
+                continue;
+            targets[n] = fus_[static_cast<int>(t)][i];
+            rsn_assert(targets[n], "packet targets missing %s%u",
+                       fuTypeName(t), i);
+            ++n;
+        }
         for (std::uint32_t pass = 0; pass < p->reuse; ++pass) {
             if (pass > 0)
-                uop_cache_replays_ += cache.size();
+                stats_.uop_cache_replays += cache.size();
             for (const Uop &u : cache) {
-                for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
-                    if (!(p->mask & (1u << i)))
-                        continue;
-                    fu::Fu *f = lookup(
-                        FuId{t, static_cast<std::uint8_t>(i)});
-                    rsn_assert(f, "packet targets missing %s%u",
-                               fuTypeName(t), i);
+                for (std::size_t k = 0; k < n; ++k) {
                     co_await eng_.delay(cfg_.ticks_per_uop);
-                    co_await f->uopQueue().send(u);
-                    ++uops_issued_;
+                    co_await targets[k]->uopQueue().send(u);
+                    ++stats_.uops_issued;
                 }
             }
         }
         if (p->last) {
-            for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
-                if (!(p->mask & (1u << i)))
-                    continue;
-                fu::Fu *f =
-                    lookup(FuId{t, static_cast<std::uint8_t>(i)});
-                rsn_assert(f, "halt targets missing %s%u", fuTypeName(t),
-                           i);
-                co_await f->uopQueue().send(Uop{HaltUop{}});
-                ++uops_issued_;
+            for (std::size_t k = 0; k < n; ++k) {
+                co_await targets[k]->uopQueue().send(Uop{HaltUop{}});
+                ++stats_.uops_issued;
             }
         }
     }
@@ -132,12 +120,7 @@ DecoderUnit::typeLoop(FuType t)
 bool
 DecoderUnit::done() const
 {
-    if (!fetch_done_)
-        return false;
-    for (bool d : type_done_)
-        if (!d)
-            return false;
-    return true;
+    return fetch_done_ && std::ranges::all_of(type_done_, std::identity{});
 }
 
 std::string

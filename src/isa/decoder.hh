@@ -71,15 +71,15 @@ class DecoderUnit
     void reset();
 
     /** @{ Stats for the overhead analysis (Sec. 5.1). */
-    std::uint64_t packetsFetched() const { return packets_fetched_; }
-    std::uint64_t uopsIssued() const { return uops_issued_; }
-    Bytes instructionBytesFetched() const { return bytes_fetched_; }
+    std::uint64_t packetsFetched() const { return stats_.packets_fetched; }
+    std::uint64_t uopsIssued() const { return stats_.uops_issued; }
+    Bytes instructionBytesFetched() const { return stats_.bytes_fetched; }
     /** @} */
 
     /** @{ uOP cache stats: window expansions performed vs. expansions
      *  the replay passes reused from the cache. */
-    std::uint64_t uopExpansions() const { return uop_expansions_; }
-    std::uint64_t uopCacheReplays() const { return uop_cache_replays_; }
+    std::uint64_t uopExpansions() const { return stats_.uop_expansions; }
+    std::uint64_t uopCacheReplays() const { return stats_.uop_cache_replays; }
     /** @} */
 
     /** Describe stalled decoder stages (deadlock diagnostics). */
@@ -88,12 +88,12 @@ class DecoderUnit
   private:
     sim::Task fetchLoop();
     sim::Task typeLoop(FuType t);
-    fu::Fu *lookup(FuId id) const;
 
     sim::Engine &eng_;
     Config cfg_;
     const RsnProgram *prog_ = nullptr;
-    std::vector<fu::Fu *> fus_;
+    /** Attached FUs by [type][instance index]. */
+    std::array<std::array<fu::Fu *, kMaxMaskBits>, kNumFuTypes> fus_{};
 
     /** nullptr packet = end-of-program sentinel. */
     using PktChannel = sim::Channel<const RsnPacket *>;
@@ -107,11 +107,11 @@ class DecoderUnit
      *  Cleared (capacity kept) per packet, replayed per pass. */
     std::array<std::vector<Uop>, kNumFuTypes> uop_cache_;
 
-    std::uint64_t packets_fetched_ = 0;
-    std::uint64_t uops_issued_ = 0;
-    Bytes bytes_fetched_ = 0;
-    std::uint64_t uop_expansions_ = 0;
-    std::uint64_t uop_cache_replays_ = 0;
+    struct {
+        std::uint64_t packets_fetched = 0, uops_issued = 0;
+        Bytes bytes_fetched = 0;
+        std::uint64_t uop_expansions = 0, uop_cache_replays = 0;
+    } stats_;
 };
 
 } // namespace rsn::isa

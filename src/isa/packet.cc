@@ -1,5 +1,6 @@
 #include "isa/packet.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hh"
@@ -8,268 +9,94 @@ namespace rsn::isa {
 
 namespace {
 
-/** Little serializer used by the assembler. */
-class ByteWriter
+/**
+ * The assembler's writer: appends each field's low `bits` bits to a
+ * little-endian bit stream. A value wider than its field is fatal,
+ * naming the packet, the field and the value.
+ */
+class Writer : public BitVisitor<Writer>
 {
   public:
-    explicit ByteWriter(std::vector<std::uint8_t> &out) : out_(out) {}
+    explicit Writer(std::vector<std::uint8_t> &out) : out_(out) {}
 
-    void u8(std::uint8_t v) { out_.push_back(v); }
-    void u16(std::uint16_t v) { u8(v & 0xff); u8(v >> 8); }
+    std::size_t packet = 0;  ///< Packet being written.
+
     void
-    u32(std::uint32_t v)
+    num(const char *name, const auto &v, int bits)
     {
-        u16(v & 0xffff);
-        u16(v >> 16);
+        const auto x = static_cast<std::uint64_t>(v);
+        if (x >> bits)
+            rsn_fatal("packet %zu: field %s = %llu does not fit in %d bits",
+                      packet, name, (unsigned long long)x, bits);
+        acc_ |= x << held_;
+        for (held_ += bits; held_ >= 8; held_ -= 8, acc_ >>= 8)
+            out_.push_back(static_cast<std::uint8_t>(acc_));
     }
-    void
-    u64(std::uint64_t v)
-    {
-        u32(v & 0xffffffff);
-        u32(v >> 32);
-    }
-    void fuId(FuId f) { u8((static_cast<int>(f.type) << 4) | f.index); }
 
   private:
     std::vector<std::uint8_t> &out_;
+    std::uint64_t acc_ = 0;  ///< Bits not yet emitted, LSB first.
+    int held_ = 0;
 };
 
-class ByteReader
+/** The disassembler's reader: the writer's bit stream, read back. */
+class Reader : public BitVisitor<Reader>
 {
   public:
-    ByteReader(const std::vector<std::uint8_t> &in, std::size_t &pos)
-        : in_(in), pos_(pos)
-    {}
+    explicit Reader(const std::vector<std::uint8_t> &in) : in_(in) {}
 
-    std::uint8_t
-    u8()
+    bool done() const { return pos_ == in_.size() && held_ == 0; }
+
+    template <class T>
+    void
+    num(const char *, T &v, int bits)
     {
-        rsn_assert(pos_ < in_.size(), "disassembler ran past end");
-        return in_[pos_++];
-    }
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t lo = u8();
-        return lo | (std::uint16_t(u8()) << 8);
-    }
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
-    FuId
-    fuId()
-    {
-        std::uint8_t v = u8();
-        return FuId{static_cast<FuType>(v >> 4),
-                    static_cast<std::uint8_t>(v & 0xf)};
+        for (; held_ < bits; held_ += 8) {
+            rsn_assert(pos_ < in_.size(), "disassembler ran past end");
+            acc_ |= std::uint64_t(in_[pos_++]) << held_;
+        }
+        v = static_cast<T>(acc_ & ((std::uint64_t(1) << bits) - 1));
+        acc_ >>= bits;
+        held_ -= bits;
     }
 
   private:
     const std::vector<std::uint8_t> &in_;
-    std::size_t &pos_;
+    std::size_t pos_ = 0;
+    std::uint64_t acc_ = 0;
+    int held_ = 0;
 };
 
-/** @{ A dtype tag rides in two spare bits of a uOP's flag field,
- *  starting at bit @p shift (uop.hh: the wire sizes do not grow). */
-static_assert(kNumDtypes <= 4, "dtype tags get two flag bits");
-
-unsigned
-dtypeBits(Dtype d, int shift)
+/**
+ * Sum @p per_uop over the uOP streams the decoder issues to the
+ * instances of FU type @p t selected by @p instances: the expanded
+ * window once per reuse pass and masked instance, plus the halt of a
+ * `last` packet.
+ */
+template <class F>
+std::uint64_t
+sumIssued(const std::vector<RsnPacket> &packets, FuType t,
+          unsigned instances, F per_uop)
 {
-    return (static_cast<unsigned>(d) & 3u) << shift;
-}
-
-Dtype
-dtypeFromBits(unsigned flags, int shift)
-{
-    return static_cast<Dtype>((flags >> shift) & 3u);
-}
-/** @} */
-
-void
-serializeUop(ByteWriter &w, const Uop &u)
-{
-    std::visit(
-        [&](const auto &v) {
-            using T = std::decay_t<decltype(v)>;
-            if constexpr (std::is_same_v<T, MmeUop>) {
-                w.u16(v.reps); w.u16(v.k_steps);
-                w.u16(v.tile_m); w.u16(v.tile_k); w.u16(v.tile_n);
-                w.u8((v.add_bias << 0) | (v.accum_k << 1) |
-                     dtypeBits(v.out_dtype, 2));
-            } else if constexpr (std::is_same_v<T, DdrUop>) {
-                w.u32(static_cast<std::uint32_t>(v.addr));
-                w.u32(v.stride_offset);
-                w.u16(v.stride_count);
-                w.u8((v.load << 0) | (v.store << 1) |
-                     dtypeBits(v.dtype, 2));
-                w.fuId(v.dest); w.fuId(v.src);
-                w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
-            } else if constexpr (std::is_same_v<T, LpddrUop>) {
-                w.u32(static_cast<std::uint32_t>(v.addr));
-                w.u32(v.stride_offset);
-                w.u16(v.stride_count);
-                w.fuId(v.dest);
-                w.u8((v.load_bias << 0) | dtypeBits(v.dtype, 2));
-                w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
-            } else if constexpr (std::is_same_v<T, MeshUop>) {
-                w.u32(v.repeats);
-                w.u8(static_cast<std::uint8_t>(v.mode));
-                w.u8(static_cast<std::uint8_t>(v.routes.size()));
-                for (const auto &r : v.routes) {
-                    w.fuId(r.src);
-                    w.fuId(r.dst);
-                }
-            } else if constexpr (std::is_same_v<T, MemAUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.u8(v.slices); w.fuId(v.src);
-                w.u8((v.load << 0) | (v.send << 1));
-            } else if constexpr (std::is_same_v<T, MemBUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.fuId(v.src);
-                w.u8((v.load << 0) | (v.send << 1) | (v.transpose << 2) |
-                     (v.load_bias << 3));
-            } else if constexpr (std::is_same_v<T, MemCUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.u16(v.recv_chunks); w.u16(v.send_chunks);
-                w.fuId(v.send_dest);
-                w.u16((v.recv << 0) | (v.store << 1) | (v.send_mme << 2) |
-                      (v.softmax << 3) | (v.gelu << 4) |
-                      (v.layernorm << 5) | (v.scale_shift << 6) |
-                      (v.add_residual << 7) | dtypeBits(v.out_dtype, 8));
-            } else if constexpr (std::is_same_v<T, HaltUop>) {
-                w.u8(0xff);
-            }
-        },
-        u);
-}
-
-Uop
-deserializeUop(ByteReader &r, FuType opcode)
-{
-    switch (opcode) {
-      case FuType::Mme: {
-        MmeUop v;
-        v.reps = r.u16(); v.k_steps = r.u16();
-        v.tile_m = r.u16(); v.tile_k = r.u16(); v.tile_n = r.u16();
-        std::uint8_t f = r.u8();
-        v.add_bias = f & 1; v.accum_k = f & 2;
-        v.out_dtype = dtypeFromBits(f, 2);
-        return v;
-      }
-      case FuType::Ddr: {
-        DdrUop v;
-        v.addr = r.u32(); v.stride_offset = r.u32();
-        v.stride_count = r.u16();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.store = f & 2;
-        v.dtype = dtypeFromBits(f, 2);
-        v.dest = r.fuId(); v.src = r.fuId();
-        v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
-        return v;
-      }
-      case FuType::Lpddr: {
-        LpddrUop v;
-        v.addr = r.u32(); v.stride_offset = r.u32();
-        v.stride_count = r.u16();
-        v.dest = r.fuId();
-        std::uint8_t f = r.u8();
-        v.load_bias = f & 1;
-        v.dtype = dtypeFromBits(f, 2);
-        v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
-        return v;
-      }
-      case FuType::MeshA:
-      case FuType::MeshB: {
-        MeshUop v;
-        v.repeats = r.u32();
-        v.mode = static_cast<MeshMode>(r.u8());
-        std::uint8_t n = r.u8();
-        for (int i = 0; i < n; ++i) {
-            MeshRoute rt;
-            rt.src = r.fuId();
-            rt.dst = r.fuId();
-            v.routes.push_back(rt);
-        }
-        return v;
-      }
-      case FuType::MemA: {
-        MemAUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.slices = r.u8(); v.src = r.fuId();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.send = f & 2;
-        return v;
-      }
-      case FuType::MemB: {
-        MemBUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.src = r.fuId();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.send = f & 2; v.transpose = f & 4;
-        v.load_bias = f & 8;
-        return v;
-      }
-      case FuType::MemC: {
-        MemCUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.recv_chunks = r.u16(); v.send_chunks = r.u16();
-        v.send_dest = r.fuId();
-        std::uint16_t f = r.u16();
-        v.recv = f & 1; v.store = f & 2; v.send_mme = f & 4;
-        v.softmax = f & 8; v.gelu = f & 16; v.layernorm = f & 32;
-        v.scale_shift = f & 64; v.add_residual = f & 128;
-        v.out_dtype = dtypeFromBits(f, 8);
-        return v;
-      }
-      default:
-        rsn_panic("cannot deserialize opcode %d", int(opcode));
+    std::uint64_t sum = 0;
+    std::vector<Uop> uops;
+    for (const auto &p : packets) {
+        const int fanout = std::popcount(p.mask & instances);
+        if (p.opcode != t || fanout == 0)
+            continue;
+        uops.clear();
+        for (const auto &m : p.mops)
+            expandMopInto(m, uops);
+        std::uint64_t per_pass = 0;
+        for (const auto &u : uops)
+            per_pass += per_uop(u);
+        sum += fanout * (per_pass * p.reuse +
+                         (p.last ? per_uop(Uop{HaltUop{}}) : 0));
     }
+    return sum;
 }
 
 } // namespace
-
-std::uint32_t
-RsnPacket::headerWord() const
-{
-    std::uint32_t w = 0;
-    w |= (static_cast<std::uint32_t>(opcode) & 0xf) << 28;
-    w |= std::uint32_t(mask) << 20;
-    w |= std::uint32_t(last ? 1 : 0) << 19;
-    w |= (std::uint32_t(mops.size()) & 0x7f) << 12;
-    w |= std::uint32_t(reuse) & 0xfff;
-    return w;
-}
-
-RsnPacket
-RsnPacket::fromHeaderWord(std::uint32_t w)
-{
-    RsnPacket p;
-    p.opcode = static_cast<FuType>((w >> 28) & 0xf);
-    p.mask = (w >> 20) & 0xff;
-    p.last = (w >> 19) & 1;
-    p.reuse = w & 0xfff;
-    p.mops.resize((w >> 12) & 0x7f);  // placeholder slots for window size
-    return p;
-}
-
-Bytes
-RsnPacket::wireBytes() const
-{
-    Bytes b = 4;
-    for (const auto &m : mops)
-        b += uopWireBytes(m);
-    return b;
-}
 
 bool
 RsnPacket::valid(std::string *why) const
@@ -279,7 +106,7 @@ RsnPacket::valid(std::string *why) const
             *why = msg;
         return false;
     };
-    if (opcode == FuType::NumTypes)
+    if (static_cast<int>(opcode) >= kNumFuTypes)
         return fail("invalid opcode");
     if (mask == 0)
         return fail("empty FU mask");
@@ -299,41 +126,21 @@ RsnPacket::valid(std::string *why) const
 void
 expandMopInto(const Uop &mop, std::vector<Uop> &out)
 {
-    if (const auto *d = std::get_if<DdrUop>(&mop)) {
-        for (std::uint32_t i = 0; i < d->stride_count; ++i) {
-            DdrUop u = *d;
-            u.addr = d->addr + std::uint64_t(i) * d->stride_offset;
-            u.stride_count = 1;
-            u.stride_offset = 0;
-            out.emplace_back(u);
-        }
-        return;
-    }
-    if (const auto *l = std::get_if<LpddrUop>(&mop)) {
-        for (std::uint32_t i = 0; i < l->stride_count; ++i) {
-            LpddrUop u = *l;
-            u.addr = l->addr + std::uint64_t(i) * l->stride_offset;
-            u.stride_count = 1;
-            u.stride_offset = 0;
-            out.emplace_back(u);
-        }
-        return;
-    }
-    out.push_back(mop);
-}
-
-std::vector<Uop>
-expandMop(const Uop &mop)
-{
-    std::vector<Uop> out;
-    expandMopInto(mop, out);
-    return out;
-}
-
-void
-RsnProgram::append(RsnPacket p)
-{
-    packets_.push_back(std::move(p));
+    std::visit(
+        [&](const auto &m) {
+            if constexpr (requires { m.stride_count; }) {
+                for (std::uint32_t i = 0; i < m.stride_count; ++i) {
+                    auto u = m;
+                    u.addr = m.addr + std::uint64_t(i) * m.stride_offset;
+                    u.stride_count = 1;
+                    u.stride_offset = 0;
+                    out.emplace_back(u);
+                }
+            } else {
+                out.emplace_back(m);
+            }
+        },
+        mop);
 }
 
 void
@@ -342,12 +149,11 @@ RsnProgram::appendHalts(const std::array<int, kNumFuTypes> &counts)
     for (int t = 0; t < kNumFuTypes; ++t) {
         if (counts[t] <= 0)
             continue;
-        RsnPacket p;
-        p.opcode = static_cast<FuType>(t);
-        p.mask = static_cast<std::uint8_t>((1u << counts[t]) - 1);
-        p.last = true;
-        p.reuse = 1;
-        packets_.push_back(std::move(p));
+        packets_.push_back(RsnPacket{
+            .opcode = static_cast<FuType>(t),
+            .mask = static_cast<std::uint8_t>((1u << counts[t]) - 1),
+            .last = true,
+            .mops = {}});
     }
 }
 
@@ -364,10 +170,7 @@ RsnProgram::validate() const
 std::uint64_t
 RsnProgram::packetCount(FuType t) const
 {
-    std::uint64_t n = 0;
-    for (const auto &p : packets_)
-        n += p.opcode == t;
-    return n;
+    return std::ranges::count(packets_, t, &RsnPacket::opcode);
 }
 
 Bytes
@@ -392,48 +195,27 @@ RsnProgram::totalBytes() const
 Bytes
 RsnProgram::expandedUopBytes(FuType t) const
 {
-    Bytes b = 0;
-    for (const auto &p : packets_) {
-        if (p.opcode != t)
-            continue;
-        int fanout = std::popcount(p.mask);
-        Bytes per_pass = 0;
-        for (const auto &m : p.mops)
-            for (const auto &u : expandMop(m))
-                per_pass += uopWireBytes(u);
-        b += per_pass * p.reuse * fanout;
-        if (p.last)
-            b += HaltUop::wireBytes() * fanout;
-    }
-    return b;
+    return sumIssued(packets_, t, 0xff, [](const Uop &u) {
+        return std::visit([](const auto &v) { return wireBytes(v); }, u);
+    });
 }
 
 std::uint64_t
 RsnProgram::uopCountFor(FuId fu) const
 {
-    std::uint64_t n = 0;
-    for (const auto &p : packets_) {
-        if (p.opcode != fu.type || !(p.mask & (1u << fu.index)))
-            continue;
-        std::uint64_t per_pass = 0;
-        for (const auto &m : p.mops)
-            per_pass += expandMop(m).size();
-        n += per_pass * p.reuse;
-        if (p.last)
-            ++n;
-    }
-    return n;
+    return sumIssued(packets_, fu.type, 1u << fu.index,
+                     [](const Uop &) { return 1; });
 }
 
 std::vector<std::uint8_t>
 assemble(const RsnProgram &prog)
 {
+    prog.validate();
     std::vector<std::uint8_t> out;
-    ByteWriter w(out);
+    Writer w(out);
     for (const auto &p : prog.packets()) {
-        w.u32(p.headerWord());
-        for (const auto &m : p.mops)
-            serializeUop(w, m);
+        RsnPacket::fields(p, w);
+        ++w.packet;
     }
     return out;
 }
@@ -442,16 +224,13 @@ RsnProgram
 disassemble(const std::vector<std::uint8_t> &bytes)
 {
     RsnProgram prog;
-    std::size_t pos = 0;
-    ByteReader r(bytes, pos);
-    while (pos < bytes.size()) {
-        RsnPacket p = RsnPacket::fromHeaderWord(r.u32());
-        std::size_t window = p.mops.size();
-        p.mops.clear();
-        for (std::size_t i = 0; i < window; ++i)
-            p.mops.push_back(deserializeUop(r, p.opcode));
+    Reader r(bytes);
+    while (!r.done()) {
+        RsnPacket p;
+        RsnPacket::fields(p, r);
         prog.append(std::move(p));
     }
+    prog.validate();
     return prog;
 }
 

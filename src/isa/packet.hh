@@ -6,9 +6,9 @@
  * packet has a 32-bit header — opcode (FU type), mask (targeted FU
  * instances), last (FU exit), window size (mOPs in this packet), reuse
  * (replay count) — followed by a payload of mOPs. Second-level decoders
- * replay the mOP window @c reuse times; third-level decoders translate
- * mOPs into uOPs (e.g. a strided DDR mOP expands into stride_count
- * single-block uOPs).
+ * expand the mOP window into uOPs (a strided DDR/LPDDR mOP becomes
+ * stride_count single-block uOPs) and replay it @c reuse times into each
+ * FU's uOP queue, the third level.
  *
  * Instruction compression (Fig. 9) = assembled packet bytes vs. the bytes
  * of the fully-expanded uOP streams.
@@ -39,35 +39,45 @@ struct RsnPacket {
     std::uint16_t reuse = 1;    ///< Times the mOP window replays.
     std::vector<Uop> mops;      ///< The mOP window (size = "window size").
 
-    /** Encoded 32-bit header: opcode:4 | mask:8 | last:1 | win:7 | reuse:12 */
-    std::uint32_t headerWord() const;
-
-    /** Decode header fields from a 32-bit word (payload not touched). */
-    static RsnPacket fromHeaderWord(std::uint32_t w);
+    /**
+     * Wire format (uop.hh's field-list convention): the 32-bit header
+     * opcode:4 | mask:8 | last:1 | window:7 | reuse:12, most significant
+     * field first, then the window's mOPs, whose kind the opcode picks.
+     */
+    static constexpr void
+    fields(auto &p, auto &v)
+    {
+        v.num("reuse", p.reuse, 12);
+        v.count("window", p.mops, 7);
+        v.num("last", p.last, 1);
+        v.num("mask", p.mask, 8);
+        v.num("opcode", p.opcode, 4);
+        for (auto &m : p.mops)
+            v.uop(p.opcode, m);
+    }
 
     /** Assembled size: 4-byte header + serialized mOPs. */
-    Bytes wireBytes() const;
+    Bytes wireBytes() const { return isa::wireBytes(*this); }
 
-    /** Check structural validity (field ranges, uOP/opcode agreement). */
+    /** Check structural validity (field ranges, uOP/opcode agreement,
+     *  no halt in the window). */
     bool valid(std::string *why = nullptr) const;
+
+    bool operator==(const RsnPacket &) const = default;
 };
 
 /**
- * Expand one mOP into its uOP sequence (third-level decoding). Strided
- * DDR/LPDDR mOPs unroll into per-block uOPs; everything else passes
- * through unchanged.
+ * Append @p mop's uOP sequence to @p out (the decoder's expansion, which
+ * fills its uOP cache). A strided DDR/LPDDR mOP unrolls into one
+ * single-block uOP per stride; everything else passes through unchanged.
  */
-std::vector<Uop> expandMop(const Uop &mop);
-
-/** Append @p mop's expansion to @p out (the allocation-free form the
- *  decoder's uOP cache fills; expandMop wraps it). */
 void expandMopInto(const Uop &mop, std::vector<Uop> &out);
 
 /** A full RSN program: the packet sequence plus measurement helpers. */
 class RsnProgram
 {
   public:
-    void append(RsnPacket p);
+    void append(RsnPacket p) { packets_.push_back(std::move(p)); }
     const std::vector<RsnPacket> &packets() const { return packets_; }
     std::size_t size() const { return packets_.size(); }
     bool empty() const { return packets_.empty(); }
@@ -100,10 +110,12 @@ class RsnProgram
     std::vector<RsnPacket> packets_;
 };
 
-/** Serialize a program to bytes (assembler). */
+/** Serialize a program to bytes (assembler). Fatal on an invalid
+ *  packet or on a field value too wide for its wire field. */
 std::vector<std::uint8_t> assemble(const RsnProgram &prog);
 
-/** Parse bytes back into packets (disassembler). */
+/** Parse bytes back into packets (disassembler). Fatal unless the
+ *  bytes decode to a valid program. */
 RsnProgram disassemble(const std::vector<std::uint8_t> &bytes);
 
 } // namespace rsn::isa

@@ -1,135 +1,84 @@
 #include "isa/uop.hh"
 
+#include <type_traits>
+
 #include "common/log.hh"
 
 namespace rsn::isa {
 
 namespace {
 
-std::string
-onOff(bool b, const char *name)
-{
-    return std::string(" ") + name + (b ? "+" : "-");
-}
+/** The printer: " name=value" per field, flags as " name+" / " name-",
+ *  mesh routes as " src->dst". */
+struct Printer {
+    std::string s;
 
-/** Render a dtype tag, empty for the F32 default (keeps pre-typed
- *  debug output byte-identical). */
-std::string
-dtypeTag(Dtype d)
-{
-    return d == Dtype::F32 ? std::string()
-                           : std::string(" ") + dtypeName(d);
-}
+    template <class T>
+    void
+    num(const char *name, const T &v, int)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            s += detail::formatv(" %s%c", name, v ? '+' : '-');
+        } else if constexpr (std::is_same_v<T, Dtype>) {
+            s += detail::formatv(" %s=%s", name, dtypeName(v));
+        } else if constexpr (std::is_same_v<T, MeshMode>) {
+            static constexpr const char *kModes[] = {"par", "bcast", "dist"};
+            s += detail::formatv(" %s=%s", name, kModes[int(v)]);
+        } else {
+            s += detail::formatv(" %s=%llu", name, (unsigned long long)v);
+        }
+    }
+    void
+    fu(const char *name, const FuId &f)
+    {
+        s += detail::formatv(" %s=%s", name, f.toString().c_str());
+    }
+    void pad(int) {}
+    void
+    list(const char *, const std::vector<MeshRoute> &routes, int)
+    {
+        for (const auto &r : routes)
+            s += " " + r.src.toString() + "->" + r.dst.toString();
+    }
+};
+
+/** The uOP kind each FU type runs, in FuType order. */
+const Uop kKinds[kNumFuTypes] = {MmeUop{},  MemAUop{}, MemBUop{},
+                                 MemCUop{}, MeshUop{}, MeshUop{},
+                                 DdrUop{},  LpddrUop{}};
 
 } // namespace
 
 std::string
-MmeUop::toString() const
-{
-    return detail::formatv("mme reps=%u k=%u tile=%ux%ux%u%s%s%s", reps,
-                           k_steps, tile_m, tile_k, tile_n,
-                           onOff(add_bias, "bias").c_str(),
-                           onOff(accum_k, "accK").c_str(),
-                           dtypeTag(out_dtype).c_str());
-}
-
-std::string
-DdrUop::toString() const
-{
-    return detail::formatv(
-        "ddr addr=0x%llx cnt=%u off=%u %s%s block=%ux%u/%u%s",
-        static_cast<unsigned long long>(addr), stride_count, stride_offset,
-        load ? ("ld->" + dest.toString()).c_str() : "",
-        store ? ("st<-" + src.toString()).c_str() : "", rows, cols, pitch,
-        dtypeTag(dtype).c_str());
-}
-
-std::string
-LpddrUop::toString() const
-{
-    return detail::formatv("lpddr addr=0x%llx cnt=%u off=%u ->%s%s "
-                           "block=%ux%u/%u%s",
-                           static_cast<unsigned long long>(addr),
-                           stride_count, stride_offset,
-                           dest.toString().c_str(),
-                           load_bias ? " bias" : "", rows, cols, pitch,
-                           dtypeTag(dtype).c_str());
-}
-
-std::string
-MeshUop::toString() const
-{
-    const char *m = mode == MeshMode::Broadcast ? "bcast"
-                    : mode == MeshMode::Distribute ? "dist"
-                                                   : "par";
-    std::string s = detail::formatv("mesh rep=%u %s", repeats, m);
-    for (const auto &r : routes)
-        s += " " + r.src.toString() + "->" + r.dst.toString();
-    return s;
-}
-
-std::string
-MemAUop::toString() const
-{
-    return detail::formatv("memA %ux%u slices=%u src=%s%s%s", rows, cols,
-                           slices, src.toString().c_str(),
-                           onOff(load, "ld").c_str(),
-                           onOff(send, "snd").c_str());
-}
-
-std::string
-MemBUop::toString() const
-{
-    return detail::formatv("memB %ux%u src=%s%s%s%s%s", rows, cols,
-                           src.toString().c_str(), onOff(load, "ld").c_str(),
-                           onOff(send, "snd").c_str(),
-                           onOff(transpose, "T").c_str(),
-                           onOff(load_bias, "bias").c_str());
-}
-
-std::string
-MemCUop::toString() const
-{
-    return detail::formatv("memC %ux%u rc=%u sc=%u%s%s%s%s%s%s%s%s%s", rows,
-                           cols, recv_chunks, send_chunks,
-                           onOff(recv, "rcv").c_str(),
-                           onOff(store, "st").c_str(),
-                           onOff(send_mme, "snd").c_str(),
-                           onOff(softmax, "smax").c_str(),
-                           onOff(gelu, "gelu").c_str(),
-                           onOff(layernorm, "ln").c_str(),
-                           onOff(scale_shift, "ss").c_str(),
-                           onOff(add_residual, "res").c_str(),
-                           dtypeTag(out_dtype).c_str());
-}
-
-Bytes
-uopWireBytes(const Uop &u)
-{
-    return std::visit([](const auto &v) -> Bytes { return v.wireBytes(); },
-                      u);
-}
-
-std::string
 uopToString(const Uop &u)
 {
-    return std::visit([](const auto &v) { return v.toString(); }, u);
+    return std::visit(
+        [](const auto &v) {
+            Printer p{v.kName};
+            v.fields(v, p);
+            return p.s;
+        },
+        u);
+}
+
+const char *
+uopKindName(const Uop &u)
+{
+    return std::visit([](const auto &v) { return v.kName; }, u);
+}
+
+Uop
+uopFor(FuType t)
+{
+    const int i = static_cast<int>(t);
+    return i < kNumFuTypes ? kKinds[i] : Uop{HaltUop{}};
 }
 
 bool
 uopMatchesFuType(const Uop &u, FuType t)
 {
-    switch (u.index()) {
-      case 0: return t == FuType::Mme;
-      case 1: return t == FuType::Ddr;
-      case 2: return t == FuType::Lpddr;
-      case 3: return t == FuType::MeshA || t == FuType::MeshB;
-      case 4: return t == FuType::MemA;
-      case 5: return t == FuType::MemB;
-      case 6: return t == FuType::MemC;
-      case 7: return true;  // Halt fits every FU.
-      default: return false;
-    }
+    const int i = static_cast<int>(t);
+    return i < kNumFuTypes && u.index() == kKinds[i].index();
 }
 
 } // namespace rsn::isa

@@ -7,9 +7,24 @@
  * instructions stay off the critical path (Sec. 2.4). Each uOP launches a
  * single kernel execution on its FU.
  *
- * Every uOP type reports its wire size (the bytes a third-level decoder
- * consumes); Fig. 9's RSN-instruction-vs-uOP compression ratios are computed
- * from these sizes.
+ * Wire format. Every uOP struct lists its fields once, in wire order, in
+ * a static `fields(u, v)`. The list is a little-endian bit stream: each
+ * entry takes the next `bits` bits, least significant first, so 16- and
+ * 32-bit fields land as little-endian integers and flag bits pack into a
+ * flag field from bit 0 up. Four visitors walk the list: the assembler's
+ * writer and the disassembler's reader (packet.cc), the byte counter
+ * (wireBytes below, the sizes Fig. 9's compression ratios are computed
+ * from) and the printer (uopToString). Each handles four entries:
+ *
+ *   v.num(name, field, bits)   an integer, bool or enum of that width
+ *   v.fu(name, field)          a FuId in one byte: index:4, then type:4
+ *   v.pad(bits)                reserved bits, written as zero
+ *   v.list(name, vec, bits)    a count of that width, then each
+ *                              element's own field list
+ *
+ * RsnPacket (packet.hh) lists its header the same way, followed by its
+ * window's uOPs (v.count, v.uop), so one walk covers a whole program.
+ * A value too wide for its field is an assembler error, never truncated.
  */
 
 #ifndef RSN_ISA_UOP_HH
@@ -47,20 +62,30 @@ struct MmeUop {
     Dtype out_dtype = Dtype::F32;
 
     bool operator==(const MmeUop &) const = default;
-    // Wire size unchanged by the dtype tag: it packs into the 2 spare
-    // bits of the existing flag byte (both of the paper's encodings
-    // reserve them).
-    static constexpr Bytes wireBytes() { return 11; }
-    std::string toString() const;
+    static constexpr const char *kName = "mme";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("reps", u.reps, 16);
+        v.num("k_steps", u.k_steps, 16);
+        v.num("tile_m", u.tile_m, 16);
+        v.num("tile_k", u.tile_k, 16);
+        v.num("tile_n", u.tile_n, 16);
+        v.num("add_bias", u.add_bias, 1);
+        v.num("accum_k", u.accum_k, 1);
+        v.num("out_dtype", u.out_dtype, 2);
+        v.pad(4);
+    }
 };
 
 /**
  * DDR: "addr, stride size, stride offset, stride count, load, destFU,
  * store, srcFU". Moves feature maps between off-chip DDR and on-chip FUs.
  *
- * A load uOP reads @c stride_count blocks (advancing @c addr by
- * @c stride_offset bytes each time) and streams each to @c dest. A store
- * uOP receives @c stride_count chunks from @c src and writes them back.
+ * A load reads one block and streams it to @c dest; a store receives one
+ * chunk from @c src and writes it back. A strided mOP (@c stride_count
+ * blocks, @c addr advancing by @c stride_offset bytes) is expanded into
+ * single-block uOPs by the decoder (expandMopInto), as for LPDDR.
  */
 struct DdrUop {
     Addr addr = 0;
@@ -80,10 +105,23 @@ struct DdrUop {
     Dtype dtype = Dtype::F32;
 
     bool operator==(const DdrUop &) const = default;
-    // Dtype packs into the spare bits of the load/store flag byte; the
-    // wire size is unchanged.
-    static constexpr Bytes wireBytes() { return 25; }
-    std::string toString() const;
+    static constexpr const char *kName = "ddr";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("addr", u.addr, 32);
+        v.num("stride_offset", u.stride_offset, 32);
+        v.num("stride_count", u.stride_count, 16);
+        v.num("load", u.load, 1);
+        v.num("store", u.store, 1);
+        v.num("dtype", u.dtype, 2);
+        v.pad(4);
+        v.fu("dest", u.dest);
+        v.fu("src", u.src);
+        v.num("rows", u.rows, 32);
+        v.num("cols", u.cols, 32);
+        v.num("pitch", u.pitch, 32);
+    }
 };
 
 /** LPDDR: "addr, stride size, stride offset, stride count, destFU,
@@ -102,9 +140,22 @@ struct LpddrUop {
     Dtype dtype = Dtype::F32;
 
     bool operator==(const LpddrUop &) const = default;
-    // Dtype packs into the spare bits of the load_bias flag byte.
-    static constexpr Bytes wireBytes() { return 24; }
-    std::string toString() const;
+    static constexpr const char *kName = "lpddr";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("addr", u.addr, 32);
+        v.num("stride_offset", u.stride_offset, 32);
+        v.num("stride_count", u.stride_count, 16);
+        v.fu("dest", u.dest);
+        v.num("load_bias", u.load_bias, 1);
+        v.pad(1);
+        v.num("dtype", u.dtype, 2);
+        v.pad(4);
+        v.num("rows", u.rows, 32);
+        v.num("cols", u.cols, 32);
+        v.num("pitch", u.pitch, 32);
+    }
 };
 
 /** One mesh route: move chunks from FU @c src to FU @c dst. */
@@ -112,6 +163,12 @@ struct MeshRoute {
     FuId src;
     FuId dst;
     bool operator==(const MeshRoute &) const = default;
+    static constexpr void
+    fields(auto &r, auto &v)
+    {
+        v.fu("src", r.src);
+        v.fu("dst", r.dst);
+    }
 };
 
 /** How a mesh kernel interprets its route list. */
@@ -135,8 +192,14 @@ struct MeshUop {
     std::vector<MeshRoute> routes;
 
     bool operator==(const MeshUop &) const = default;
-    Bytes wireBytes() const { return 6 + 2 * routes.size(); }
-    std::string toString() const;
+    static constexpr const char *kName = "mesh";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("repeats", u.repeats, 32);
+        v.num("mode", u.mode, 8);
+        v.list("routes", u.routes, 8);
+    }
 };
 
 /**
@@ -156,8 +219,18 @@ struct MemAUop {
     bool send = false;
 
     bool operator==(const MemAUop &) const = default;
-    static constexpr Bytes wireBytes() { return 7; }
-    std::string toString() const;
+    static constexpr const char *kName = "memA";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("rows", u.rows, 16);
+        v.num("cols", u.cols, 16);
+        v.num("slices", u.slices, 8);
+        v.fu("src", u.src);
+        v.num("load", u.load, 1);
+        v.num("send", u.send, 1);
+        v.pad(6);
+    }
 };
 
 /**
@@ -175,8 +248,19 @@ struct MemBUop {
     bool load_bias = false;  ///< Also receive + forward a bias chunk.
 
     bool operator==(const MemBUop &) const = default;
-    static constexpr Bytes wireBytes() { return 6; }
-    std::string toString() const;
+    static constexpr const char *kName = "memB";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("rows", u.rows, 16);
+        v.num("cols", u.cols, 16);
+        v.fu("src", u.src);
+        v.num("load", u.load, 1);
+        v.num("send", u.send, 1);
+        v.num("transpose", u.transpose, 1);
+        v.num("load_bias", u.load_bias, 1);
+        v.pad(4);
+    }
 };
 
 /**
@@ -210,31 +294,121 @@ struct MemCUop {
     Dtype out_dtype = Dtype::F32;
 
     bool operator==(const MemCUop &) const = default;
-    // Dtype packs into the spare bits of the flag bytes; wire size
-    // unchanged.
-    static constexpr Bytes wireBytes() { return 11; }
-    std::string toString() const;
+    static constexpr const char *kName = "memC";
+    static constexpr void
+    fields(auto &u, auto &v)
+    {
+        v.num("rows", u.rows, 16);
+        v.num("cols", u.cols, 16);
+        v.num("recv_chunks", u.recv_chunks, 16);
+        v.num("send_chunks", u.send_chunks, 16);
+        v.fu("send_dest", u.send_dest);
+        v.num("recv", u.recv, 1);
+        v.num("store", u.store, 1);
+        v.num("send_mme", u.send_mme, 1);
+        v.num("softmax", u.softmax, 1);
+        v.num("gelu", u.gelu, 1);
+        v.num("layernorm", u.layernorm, 1);
+        v.num("scale_shift", u.scale_shift, 1);
+        v.num("add_residual", u.add_residual, 1);
+        v.num("out_dtype", u.out_dtype, 2);
+        v.pad(6);
+    }
 };
 
-/** Decoder-injected uOP that terminates an FU's kernel loop ("last"). */
+/**
+ * Decoder-injected uOP that terminates an FU's kernel loop ("last").
+ * Its one byte counts in the expanded uOP streams (Fig. 9); it never
+ * travels in a packet window, which RsnPacket::valid() enforces.
+ */
 struct HaltUop {
     bool operator==(const HaltUop &) const = default;
-    static constexpr Bytes wireBytes() { return 1; }
-    std::string toString() const { return "halt"; }
+    static constexpr const char *kName = "halt";
+    static constexpr void fields(auto &, auto &v) { v.pad(8); }
 };
 
 /** A uOP for any FU type. */
 using Uop = std::variant<MmeUop, DdrUop, LpddrUop, MeshUop, MemAUop,
                          MemBUop, MemCUop, HaltUop>;
 
-/** Wire size of any uOP. */
-Bytes uopWireBytes(const Uop &u);
-
-/** Debug rendering of any uOP. */
+/** Debug rendering of any uOP: its kind, then each field. */
 std::string uopToString(const Uop &u);
 
-/** FU type a uOP kind belongs to (Mesh uOPs fit both MeshA and MeshB). */
+/** Short name of a uOP's kind ("mme", "ddr", ..., "halt"). */
+const char *uopKindName(const Uop &u);
+
+/** A default uOP of the kind FU type @p t runs (MeshUop for both
+ *  meshes; HaltUop for an invalid type). */
+Uop uopFor(FuType t);
+
+/** FU type a uOP kind belongs to (Mesh uOPs fit both MeshA and MeshB).
+ *  A halt fits none: the decoder injects it on a packet's `last` bit. */
 bool uopMatchesFuType(const Uop &u, FuType t);
+
+/**
+ * Base of the visitors that see every entry as bits — the writer, the
+ * reader and the byte counter: a FuId, a pad, a count, a list and a
+ * window uOP all reduce to Derived::num.
+ */
+template <class Derived>
+struct BitVisitor {
+    /** A FuId is one byte: index in the low nibble, type in the high. */
+    constexpr void
+    fu(const char *, auto &f)
+    {
+        self().num("index", f.index, 4);
+        self().num("type", f.type, 4);
+    }
+    constexpr void
+    pad(int bits)
+    {
+        std::uint64_t zero = 0;
+        self().num("pad", zero, bits);
+    }
+    /** A count of that width alone; the elements follow elsewhere. */
+    constexpr void
+    count(const char *name, auto &elems, int bits)
+    {
+        std::size_t n = elems.size();
+        self().num(name, n, bits);
+        if constexpr (requires { elems.resize(n); })
+            elems.resize(n);
+    }
+    constexpr void
+    list(const char *name, auto &elems, int bits)
+    {
+        count(name, elems, bits);
+        for (auto &e : elems)
+            e.fields(e, self());
+    }
+    /** A packet-window uOP: its kind is the one @p opcode runs. */
+    constexpr void
+    uop(FuType opcode, auto &m)
+    {
+        if constexpr (requires { m = uopFor(opcode); })
+            m = uopFor(opcode);
+        std::visit([&](auto &u) { u.fields(u, self()); }, m);
+    }
+    constexpr Derived &self() { return static_cast<Derived &>(*this); }
+};
+
+/** The byte counter. */
+struct WireCounter : BitVisitor<WireCounter> {
+    Bytes bits = 0;
+    constexpr void num(const char *, const auto &, int b) { bits += b; }
+};
+
+/** Wire size of one uOP (a compile-time constant for every kind but
+ *  MeshUop). Rounds up, so a field list that is not whole bytes shows
+ *  as a mismatch against the writer (Uop.WireBytesMatchSerializer). */
+template <class U>
+constexpr Bytes
+wireBytes(const U &u)
+{
+    WireCounter c;
+    U::fields(u, c);
+    return (c.bits + 7) / 8;
+}
 
 } // namespace rsn::isa
 

@@ -29,10 +29,9 @@
 
 namespace rsn::serve {
 
-/** SplitMix64 finalizer: the serving tier's one source of randomness
- *  (arrival gaps, class draws, retry jitter, per-request fault-seed
- *  salting). Pure, stateless, seedable. */
-std::uint64_t mix64(std::uint64_t x);
+/** The serving tier's one source of randomness (arrival gaps, class
+ *  draws, retry jitter, per-request fault-seed salting): rsn::mix64. */
+using rsn::mix64;
 
 /**
  * One request shape in the serving mix: a tiny-encoder configuration

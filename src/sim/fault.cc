@@ -11,16 +11,6 @@ namespace rsn::sim {
 
 namespace {
 
-/** SplitMix64 finalizer: the bit mixer behind every fault decision. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 std::uint64_t
 fnv1a64(const std::string &s)
 {

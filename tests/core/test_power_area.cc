@@ -45,8 +45,9 @@ TEST_F(PowerFixture, DecoderPowerIsNegligible)
 {
     core::PowerModel power;
     for (const auto &r : power.breakdown(*mach, run)) {
-        if (r.component == "Decoder")
+        if (r.component == "Decoder") {
             EXPECT_LT(r.percent, 1.0);  // paper: 0.08%
+        }
     }
 }
 

@@ -13,34 +13,34 @@ using namespace rsn;
 TEST(Tracer, RecordsKernelSlicesDuringARun)
 {
     core::RsnMachine mach(core::MachineConfig::vck190());
-    core::Tracer tracer(mach, /*period=*/64);
+    core::Tracer tracer(mach);
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
     auto r = mach.run(c.program);
     ASSERT_TRUE(r.completed) << r.diagnosis;
-    EXPECT_GT(tracer.samples(), 100u);
-    ASSERT_FALSE(tracer.slices().empty());
-    // Slices are well-formed and bounded by the run.
-    for (const auto &s : tracer.slices()) {
-        EXPECT_LE(s.begin, s.end);
-        EXPECT_LE(s.end, r.ticks);
-        EXPECT_FALSE(s.track.empty());
-    }
-    // Every MME shows activity.
-    for (int i = 0; i < 6; ++i) {
-        std::string name = "MME" + std::to_string(i);
-        bool found = false;
-        for (const auto &s : tracer.slices())
-            found |= s.track == name;
-        EXPECT_TRUE(found) << name;
+    ASSERT_EQ(tracer.spans().size(), mach.fus().size());
+    // One slice per executed kernel, well-formed, bounded by the run and
+    // named by its uOP kind; every MME shows activity.
+    for (std::size_t i = 0; i < mach.fus().size(); ++i) {
+        const auto &f = *mach.fus()[i];
+        EXPECT_EQ(tracer.spans()[i].size(), f.stats().uops) << f.name();
+        for (const auto &s : tracer.spans()[i]) {
+            EXPECT_LE(s.begin, s.end);
+            EXPECT_LE(s.end, r.ticks);
+            EXPECT_STRNE(s.kind, "halt");
+        }
+        if (f.id().type == FuType::Mme) {
+            ASSERT_FALSE(tracer.spans()[i].empty()) << f.name();
+            EXPECT_STREQ(tracer.spans()[i].front().kind, "mme");
+        }
     }
 }
 
 TEST(Tracer, ChromeJsonIsStructurallySound)
 {
     core::RsnMachine mach(core::MachineConfig::vck190());
-    core::Tracer tracer(mach, 64);
+    core::Tracer tracer(mach);
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
@@ -48,9 +48,41 @@ TEST(Tracer, ChromeJsonIsStructurallySound)
     std::string json = tracer.toChromeJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"mme\",\"ph\":\"X\",\"pid\":1,"
+                        "\"tid\":\"MME0\""),
+              std::string::npos);
     // Balanced braces (rough structural check).
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(Tracer, LeavesGoldenTicksUntouchedAndSumsToBusyTicks)
+{
+    // Both golden models: a traced run takes exactly the pinned ticks of
+    // an untraced one, and each FU's slices add up to its busy ticks.
+    const std::pair<lib::Model, Tick> goldens[] = {
+        {lib::bertLargeEncoder(6, 512, true), 5947426},
+        {lib::tinyEncoder(2, 32, 64, 4, 128, true), 11084},
+    };
+    for (const auto &[model, golden] : goldens) {
+        SCOPED_TRACE(model.name);
+        core::RsnMachine mach(core::MachineConfig::vck190());
+        auto c = lib::compileModel(mach, model,
+                                   lib::ScheduleOptions::optimized());
+        EXPECT_EQ(mach.run(c.program).ticks, golden);
+        mach.reset();
+        core::Tracer tracer(mach);
+        auto r = mach.run(c.program);
+        ASSERT_TRUE(r.completed) << r.diagnosis;
+        EXPECT_EQ(r.ticks, golden);
+        for (std::size_t i = 0; i < mach.fus().size(); ++i) {
+            const auto &f = *mach.fus()[i];
+            Tick sum = 0;
+            for (const auto &s : tracer.spans()[i])
+                sum += s.end - s.begin;
+            EXPECT_EQ(sum, f.stats().busy_ticks) << f.name();
+        }
+    }
 }
 
 TEST(Segmenter, ClassifiesBertSegmentsLikeThePaper)

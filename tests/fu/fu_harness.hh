@@ -52,8 +52,9 @@ class FuHarness
     sim::Task
     program(fu::Fu &fu, std::vector<isa::Uop> uops)
     {
-        uops.emplace_back(isa::HaltUop{});
-        return feed(fu, std::move(uops));
+        for (auto &u : uops)
+            co_await fu.uopQueue().send(std::move(u));
+        co_await fu.uopQueue().send(isa::Uop{isa::HaltUop{}});
     }
 
     /** Feed chunks into a stream. */
@@ -76,13 +77,6 @@ class FuHarness
     bool run(Tick max = kTickMax) { return eng.run(max); }
 
   private:
-    sim::Task
-    feed(fu::Fu &fu, std::vector<isa::Uop> uops)
-    {
-        for (auto &u : uops)
-            co_await fu.uopQueue().send(std::move(u));
-    }
-
     std::vector<std::unique_ptr<sim::Stream>> streams_;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fu/ddr_fus.hh"
+#include "isa/packet.hh"
 #include "fu_harness.hh"
 
 namespace {
@@ -11,16 +12,6 @@ using rsn::test::iotaData;
 
 constexpr FuId kDdr{FuType::Ddr, 0};
 constexpr FuId kLpddr{FuType::Lpddr, 0};
-FuId
-memA(int i)
-{
-    return {FuType::MemA, std::uint8_t(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, std::uint8_t(i)};
-}
 
 struct DdrRig {
     FuHarness h;
@@ -101,7 +92,8 @@ TEST(DdrFu, StridedUopTouchesMultipleBlocks)
     r.host.fillRegion(base, iotaData(16, 16));
     sim::Stream &out = r.h.output(r.fu, memA(0), 256.0, 8);
 
-    // stride_count = 4 blocks of 4x16, advancing 4 rows each.
+    // stride_count = 4 blocks of 4x16, advancing 4 rows each; the FU
+    // executes the single-block uOPs the decoder expands it into.
     isa::DdrUop u;
     u.load = true;
     u.dest = memA(0);
@@ -111,13 +103,32 @@ TEST(DdrFu, StridedUopTouchesMultipleBlocks)
     u.pitch = 16;
     u.stride_count = 4;
     u.stride_offset = 4 * 16 * 4;
-    sim::Task prog = r.h.program(r.fu, {u});
+    std::vector<isa::Uop> blocks;
+    isa::expandMopInto(u, blocks);
+    sim::Task prog = r.h.program(r.fu, blocks);
     std::vector<sim::Chunk> got;
     sim::Task col = r.h.collect(out, 4, got);
     r.fu.start();
     ASSERT_TRUE(r.h.run());
     ASSERT_EQ(got.size(), 4u);
     EXPECT_FLOAT_EQ(got[3].at(0, 0), 192.f);  // row 12 start
+}
+
+TEST(DdrFu, UnexpandedStridedUopPanics)
+{
+    // Strided mOPs expand in the decoder; the FU runs one block per uOP.
+    DdrRig r;
+    isa::DdrUop u;
+    u.load = true;
+    u.dest = memA(0);
+    u.stride_count = 2;
+    sim::Task prog = r.h.program(r.fu, {u});
+    EXPECT_DEATH(
+        {
+            r.fu.start();
+            r.h.run();
+        },
+        "strided mOPs expand in the decoder");
 }
 
 TEST(DdrFu, LoadAndStoreInOneUopPanics)

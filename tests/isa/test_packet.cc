@@ -25,17 +25,33 @@ samplePacket()
     return p;
 }
 
+/** @p p's assembled 32-bit header, read back as a little-endian word. */
+std::uint32_t
+headerWordOf(const RsnPacket &p)
+{
+    RsnProgram prog;
+    prog.append(p);
+    const auto b = assemble(prog);
+    return b[0] | b[1] << 8 | b[2] << 16 | std::uint32_t(b[3]) << 24;
+}
+
+/** @p p after an assembler round trip. */
+RsnPacket
+roundTrip(const RsnPacket &p)
+{
+    RsnProgram prog;
+    prog.append(p);
+    return disassemble(assemble(prog)).packets().at(0);
+}
+
 TEST(PacketHeader, EncodesAllFields)
 {
     RsnPacket p = samplePacket();
     p.last = true;
-    std::uint32_t w = p.headerWord();
-    RsnPacket q = RsnPacket::fromHeaderWord(w);
-    EXPECT_EQ(q.opcode, p.opcode);
-    EXPECT_EQ(q.mask, p.mask);
-    EXPECT_EQ(q.last, p.last);
-    EXPECT_EQ(q.reuse, p.reuse);
-    EXPECT_EQ(q.mops.size(), p.mops.size());  // window placeholder
+    // opcode:4 | mask:8 | last:1 | window:7 | reuse:12
+    EXPECT_EQ(headerWordOf(p), std::uint32_t(FuType::MemA) << 28 |
+                                   0x5u << 20 | 1u << 19 | 1u << 12 | 12u);
+    EXPECT_EQ(roundTrip(p), p);
 }
 
 class HeaderRoundTrip
@@ -49,12 +65,13 @@ TEST_P(HeaderRoundTrip, AllFieldCombinations)
     p.opcode = static_cast<FuType>(opcode);
     p.mask = static_cast<std::uint8_t>(mask);
     p.reuse = static_cast<std::uint16_t>(reuse);
-    p.mops.resize(opcode % 7);
-    RsnPacket q = RsnPacket::fromHeaderWord(p.headerWord());
-    EXPECT_EQ(q.opcode, p.opcode);
-    EXPECT_EQ(q.mask, p.mask);
-    EXPECT_EQ(q.reuse, p.reuse);
-    EXPECT_EQ(q.mops.size(), p.mops.size());
+    p.mops.assign(opcode % 7, uopFor(p.opcode));
+    p.last = p.mops.empty();
+    EXPECT_EQ(headerWordOf(p),
+              std::uint32_t(opcode) << 28 | std::uint32_t(mask) << 20 |
+                  std::uint32_t(p.last) << 19 | (opcode % 7) << 12 |
+                  std::uint32_t(reuse));
+    EXPECT_EQ(roundTrip(p), p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,6 +105,71 @@ TEST(PacketValidation, RejectsBadFields)
     EXPECT_FALSE(bad.valid(&why));
 }
 
+TEST(PacketValidation, RejectsHaltInWindow)
+{
+    // Halts ride on the `last` bit; the decoder injects them. A halt in
+    // a window has no encoding, so the packet is invalid and the
+    // assembler refuses it rather than emit bytes it cannot read back.
+    RsnPacket p = samplePacket();
+    p.mops.emplace_back(HaltUop{});
+    EXPECT_FALSE(p.valid());
+    RsnProgram prog;
+    prog.append(p);
+    EXPECT_THROW(assemble(prog), std::runtime_error);
+}
+
+/** Message of the error assemble() raises for @p prog ("" if none). */
+std::string
+assembleError(const RsnProgram &prog)
+{
+    try {
+        (void)assemble(prog);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Assembler, RejectsValuesTooWideForTheirField)
+{
+    // A DDR address past 4 GiB does not fit the 32-bit wire field: the
+    // assembler names the packet, the field and the value instead of
+    // truncating it.
+    RsnProgram prog;
+    prog.append(samplePacket());
+    RsnPacket ddr;
+    ddr.opcode = FuType::Ddr;
+    ddr.mask = 1;
+    DdrUop d;
+    d.load = true;
+    d.dest = {FuType::MemA, 0};
+    d.addr = Addr(1) << 32;
+    ddr.mops.emplace_back(d);
+    prog.append(ddr);
+    std::string err = assembleError(prog);
+    EXPECT_NE(err.find("packet 1: field addr = 4294967296"),
+              std::string::npos)
+        << err;
+
+    // The largest address that fits still round-trips.
+    std::get<DdrUop>(ddr.mops[0]).addr = 0xffffffffu;
+    EXPECT_EQ(roundTrip(ddr), ddr);
+
+    // A mesh route count is 8 bits wide.
+    RsnPacket mesh;
+    mesh.opcode = FuType::MeshA;
+    mesh.mask = 1;
+    MeshUop mu;
+    mu.routes.resize(256);
+    mesh.mops.emplace_back(mu);
+    RsnProgram wide;
+    wide.append(mesh);
+    err = assembleError(wide);
+    EXPECT_NE(err.find("packet 0: field routes = 256"),
+              std::string::npos)
+        << err;
+}
+
 TEST(ExpandMop, StridedDdrUnrollsPerBlock)
 {
     DdrUop u;
@@ -99,7 +181,8 @@ TEST(ExpandMop, StridedDdrUnrollsPerBlock)
     u.rows = 8;
     u.cols = 8;
     u.pitch = 8;
-    auto uops = expandMop(Uop{u});
+    std::vector<Uop> uops;
+    expandMopInto(Uop{u}, uops);
     ASSERT_EQ(uops.size(), 4u);
     for (int i = 0; i < 4; ++i) {
         const auto &d = std::get<DdrUop>(uops[i]);
@@ -113,7 +196,8 @@ TEST(ExpandMop, NonStridedPassesThrough)
 {
     MmeUop u;
     u.reps = 4;
-    auto uops = expandMop(Uop{u});
+    std::vector<Uop> uops;
+    expandMopInto(Uop{u}, uops);
     ASSERT_EQ(uops.size(), 1u);
     EXPECT_EQ(std::get<MmeUop>(uops[0]).reps, 4u);
 }
@@ -136,9 +220,9 @@ TEST(Program, CountsBytesAndPackets)
     EXPECT_EQ(prog.packetCount(FuType::MemA), 2u);
     EXPECT_EQ(prog.packetCount(FuType::Ddr), 1u);
     EXPECT_EQ(prog.instructionBytes(FuType::MemA),
-              2 * (4 + MemAUop::wireBytes()));
+              2 * (4 + wireBytes(MemAUop{})));
     EXPECT_EQ(prog.totalBytes(),
-              2 * (4 + MemAUop::wireBytes()) + 4 + DdrUop::wireBytes());
+              2 * (4 + wireBytes(MemAUop{})) + 4 + wireBytes(DdrUop{}));
 }
 
 TEST(Program, ExpandedUopBytesAccountReuseAndMask)
@@ -147,7 +231,7 @@ TEST(Program, ExpandedUopBytesAccountReuseAndMask)
     RsnPacket p = samplePacket();  // mask 0x5 (2 FUs), reuse 12, 1 mop
     prog.append(p);
     EXPECT_EQ(prog.expandedUopBytes(FuType::MemA),
-              12u * 2u * MemAUop::wireBytes());
+              12u * 2u * wireBytes(MemAUop{}));
 }
 
 TEST(Program, UopCountForSelectsInstance)
@@ -245,6 +329,10 @@ TEST(Assembler, RoundTripsEveryUopKind)
     lp.mops.emplace_back(l);
     prog.append(lp);
 
+    RsnPacket ma = samplePacket();  // MemA, reuse 12
+    ma.last = true;
+    prog.append(ma);
+
     RsnPacket mb;
     mb.opcode = FuType::MemB;
     mb.mask = 0x7;
@@ -282,14 +370,14 @@ TEST(Assembler, RoundTripsEveryUopKind)
     RsnProgram back = disassemble(bytes);
     ASSERT_EQ(back.size(), prog.size());
     for (std::size_t i = 0; i < prog.size(); ++i) {
-        EXPECT_EQ(back.packets()[i].opcode, prog.packets()[i].opcode);
-        EXPECT_EQ(back.packets()[i].mask, prog.packets()[i].mask);
-        EXPECT_EQ(back.packets()[i].reuse, prog.packets()[i].reuse);
-        ASSERT_EQ(back.packets()[i].mops.size(),
-                  prog.packets()[i].mops.size());
-        for (std::size_t j = 0; j < prog.packets()[i].mops.size(); ++j)
-            EXPECT_EQ(back.packets()[i].mops[j],
-                      prog.packets()[i].mops[j])
+        const RsnPacket &a = prog.packets()[i], &b = back.packets()[i];
+        EXPECT_EQ(b.opcode, a.opcode);
+        EXPECT_EQ(b.mask, a.mask);
+        EXPECT_EQ(b.last, a.last);
+        EXPECT_EQ(b.reuse, a.reuse);
+        ASSERT_EQ(b.mops.size(), a.mops.size());
+        for (std::size_t j = 0; j < a.mops.size(); ++j)
+            EXPECT_EQ(b.mops[j], a.mops[j])
                 << "packet " << i << " mop " << j;
     }
 }
@@ -306,15 +394,26 @@ TEST(Uop, WireBytesMatchSerializer)
         p.append(pkt);
         return assemble(p).size() - 4;
     };
-    EXPECT_EQ(sizeOf(MmeUop{}, FuType::Mme), MmeUop::wireBytes());
-    EXPECT_EQ(sizeOf(DdrUop{}, FuType::Ddr), DdrUop::wireBytes());
-    EXPECT_EQ(sizeOf(LpddrUop{}, FuType::Lpddr), LpddrUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemAUop{}, FuType::MemA), MemAUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemBUop{}, FuType::MemB), MemBUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemCUop{}, FuType::MemC), MemCUop::wireBytes());
+    EXPECT_EQ(sizeOf(MmeUop{}, FuType::Mme), wireBytes(MmeUop{}));
+    EXPECT_EQ(sizeOf(DdrUop{}, FuType::Ddr), wireBytes(DdrUop{}));
+    EXPECT_EQ(sizeOf(LpddrUop{}, FuType::Lpddr), wireBytes(LpddrUop{}));
+    EXPECT_EQ(sizeOf(MemAUop{}, FuType::MemA), wireBytes(MemAUop{}));
+    EXPECT_EQ(sizeOf(MemBUop{}, FuType::MemB), wireBytes(MemBUop{}));
+    EXPECT_EQ(sizeOf(MemCUop{}, FuType::MemC), wireBytes(MemCUop{}));
     MeshUop mu;
     mu.routes.resize(6);
-    EXPECT_EQ(sizeOf(mu, FuType::MeshA), mu.wireBytes());
+    EXPECT_EQ(sizeOf(mu, FuType::MeshA), wireBytes(mu));
+
+    // The sizes Fig. 9's compression ratios are computed from; a field
+    // list change that moves one fails to compile here.
+    static_assert(wireBytes(MmeUop{}) == 11);
+    static_assert(wireBytes(DdrUop{}) == 25);
+    static_assert(wireBytes(LpddrUop{}) == 24);
+    static_assert(wireBytes(MemAUop{}) == 7);
+    static_assert(wireBytes(MemBUop{}) == 6);
+    static_assert(wireBytes(MemCUop{}) == 11);
+    static_assert(wireBytes(HaltUop{}) == 1);
+    EXPECT_EQ(wireBytes(mu), 6u + 2u * 6u);
 }
 
 TEST(Uop, ToStringIsNonEmptyForAllKinds)
@@ -339,9 +438,10 @@ TEST(Uop, MatchesFuType)
     EXPECT_TRUE(uopMatchesFuType(Uop{MeshUop{}}, FuType::MeshA));
     EXPECT_TRUE(uopMatchesFuType(Uop{MeshUop{}}, FuType::MeshB));
     EXPECT_FALSE(uopMatchesFuType(Uop{MeshUop{}}, FuType::Ddr));
+    // A halt is never a window uOP: the decoder injects it on `last`.
     for (int t = 0; t < kNumFuTypes; ++t)
-        EXPECT_TRUE(uopMatchesFuType(Uop{HaltUop{}},
-                                     static_cast<FuType>(t)));
+        EXPECT_FALSE(uopMatchesFuType(Uop{HaltUop{}},
+                                      static_cast<FuType>(t)));
 }
 
 } // namespace

@@ -209,6 +209,41 @@ TEST(Codegen, RejectsLayerNormOnPartialWidthTiles)
     EXPECT_THROW((void)compileModel(mach, mod, opts), std::logic_error);
 }
 
+/** Compile every shipped model under each Table 9 preset and both
+ *  precision policies (the ProgramDigestsPinned set, in pin order) and
+ *  hand each program to @p fn(model, preset, precision, compiled). */
+template <class Fn>
+void
+forEachPinnedProgram(Fn &&fn)
+{
+    const std::pair<const char *, Model> models[] = {
+        {"tiny", tinyEncoder(2, 32, 64, 4, 128, true)},
+        {"bert", bertLargeEncoder(6, 512, true)},
+        {"vit", vitEncoder(6, false)},  // unfused: three Q/K/V sources
+        {"ncf", ncf(6)},
+        {"mlp", mlp(6)},
+    };
+    const std::pair<const char *, ScheduleOptions> presets[] = {
+        {"noOptimize", ScheduleOptions::noOptimize()},
+        {"bwOptimized", ScheduleOptions::bwOptimized()},
+        {"optimized", ScheduleOptions::optimized()},
+    };
+    for (const auto &[mname, model] : models) {
+        for (const auto &[pname, opts] : presets) {
+            for (const char *prec : {"f32", "bf16"}) {
+                auto cfg = core::MachineConfig::vck190();
+                if (std::string(prec) == "bf16") {
+                    cfg.precision.linear_weights = Dtype::Bf16;
+                    cfg.precision.linear_activations = Dtype::Bf16;
+                    cfg.precision.attention_activations = Dtype::Bf16;
+                }
+                core::RsnMachine mach(cfg);
+                fn(mname, pname, prec, compileModel(mach, model, opts));
+            }
+        }
+    }
+}
+
 /** FNV-1a over the assembled program bytes and the tensor table (name,
  *  address, shape): any change to an emitted uOP field, its order, the
  *  packing or the address map moves the digest. */
@@ -279,52 +314,45 @@ TEST(Codegen, ProgramDigestsPinned)
         {"mlp", "optimized", "f32", 0xb566a89b742afdfaull},
         {"mlp", "optimized", "bf16", 0xdff2d6bc8fb77c41ull},
     };
-    const std::pair<const char *, Model> models[] = {
-        {"tiny", tinyEncoder(2, 32, 64, 4, 128, true)},
-        {"bert", bertLargeEncoder(6, 512, true)},
-        {"vit", vitEncoder(6, false)},  // unfused: three Q/K/V sources
-        {"ncf", ncf(6)},
-        {"mlp", mlp(6)},
-    };
-    const std::pair<const char *, ScheduleOptions> presets[] = {
-        {"noOptimize", ScheduleOptions::noOptimize()},
-        {"bwOptimized", ScheduleOptions::bwOptimized()},
-        {"optimized", ScheduleOptions::optimized()},
-    };
     std::string table;
     std::size_t i = 0;
-    for (const auto &[mname, model] : models) {
-        for (const auto &[pname, opts] : presets) {
-            for (const char *prec : {"f32", "bf16"}) {
-                auto cfg = core::MachineConfig::vck190();
-                if (std::string(prec) == "bf16") {
-                    cfg.precision.linear_weights = Dtype::Bf16;
-                    cfg.precision.linear_activations = Dtype::Bf16;
-                    cfg.precision.attention_activations = Dtype::Bf16;
-                }
-                core::RsnMachine mach(cfg);
-                const std::uint64_t d =
-                    programDigest(compileModel(mach, model, opts));
-                char line[128];
-                std::snprintf(line, sizeof line,
-                              "{\"%s\", \"%s\", \"%s\", 0x%016" PRIx64
-                              "ull},\n",
-                              mname, pname, prec, d);
-                table += line;
-                if (i < std::size(pins)) {
-                    EXPECT_STREQ(pins[i].model, mname);
-                    EXPECT_STREQ(pins[i].preset, pname);
-                    EXPECT_STREQ(pins[i].precision, prec);
-                    EXPECT_EQ(pins[i].digest, d)
-                        << mname << " / " << pname << " / " << prec;
-                }
-                ++i;
-            }
+    forEachPinnedProgram([&](const char *mname, const char *pname,
+                             const char *prec, const CompiledModel &c) {
+        const std::uint64_t d = programDigest(c);
+        char line[128];
+        std::snprintf(line, sizeof line,
+                      "{\"%s\", \"%s\", \"%s\", 0x%016" PRIx64 "ull},\n",
+                      mname, pname, prec, d);
+        table += line;
+        if (i < std::size(pins)) {
+            EXPECT_STREQ(pins[i].model, mname);
+            EXPECT_STREQ(pins[i].preset, pname);
+            EXPECT_STREQ(pins[i].precision, prec);
+            EXPECT_EQ(pins[i].digest, d) << mname << " / " << pname << " / "
+                                         << prec;
         }
-    }
+        ++i;
+    });
     EXPECT_EQ(i, std::size(pins));
     if (::testing::Test::HasFailure())
         std::printf("current digests:\n%s", table.c_str());
+}
+
+TEST(Codegen, PinnedProgramsRoundTripThroughTheAssembler)
+{
+    // disassemble(assemble(p)) == p, packet for packet and mOP for mOP,
+    // for every program the digests pin: no field of a shipped program
+    // is too wide for, or lost by, its wire encoding.
+    forEachPinnedProgram([](const char *mname, const char *pname,
+                            const char *prec, const CompiledModel &c) {
+        SCOPED_TRACE(std::string(mname) + " / " + pname + " / " + prec);
+        const isa::RsnProgram back =
+            isa::disassemble(isa::assemble(c.program));
+        ASSERT_EQ(back.size(), c.program.size());
+        for (std::size_t i = 0; i < back.size(); ++i)
+            ASSERT_EQ(back.packets()[i], c.program.packets()[i])
+                << "packet " << i;
+    });
 }
 
 } // namespace

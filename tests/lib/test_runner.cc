@@ -182,9 +182,10 @@ TEST(ProgramCache, HitPlacesTensorsLikeAColdCompile)
             EXPECT_EQ(hit.compiled.tensors[i].addr, t.addr);
             const auto got = mach->host().readRegion(t.addr);
             EXPECT_TRUE(sameBits(got, cold.host().readRegion(t.addr)));
-            if (t.name != "input" && !t.is_weight)
+            if (t.name != "input" && !t.is_weight) {
                 for (float v : got)
                     ASSERT_EQ(v, 0.f) << "stale activation";
+            }
         }
     }
 }

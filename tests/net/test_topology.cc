@@ -9,11 +9,6 @@ using namespace rsn;
 using net::Edge;
 using net::Topology;
 
-FuId
-mme(int i)
-{
-    return {FuType::Mme, std::uint8_t(i)};
-}
 constexpr FuId kMeshA{FuType::MeshA, 0};
 constexpr FuId kDdr{FuType::Ddr, 0};
 

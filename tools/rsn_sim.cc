@@ -368,7 +368,7 @@ runMain(const Options &o)
         if (tracer->writeChromeJson(o.trace_path))
             std::printf("  trace     : %s (%zu slices; open in "
                         "chrome://tracing)\n",
-                        o.trace_path.c_str(), tracer->slices().size());
+                        o.trace_path.c_str(), tracer->sliceCount());
         else
             std::printf("  trace     : FAILED to write %s\n",
                         o.trace_path.c_str());

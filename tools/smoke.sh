@@ -18,6 +18,16 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
     --benchmark_filter='BM_EngineEventDispatch/1000$|BM_ChannelPingPong/1000$|BM_CoroResumeDispatch/1000$' \
     >/dev/null 2>&1
 
+# Tracing must not perturb the run: the tiny model's latency line is the
+# same with and without --trace.
+"$BUILD/rsn-sim" --model tiny | grep latency >"$BUILD/trace_off.out"
+"$BUILD/rsn-sim" --model tiny --trace "$BUILD/trace.json" |
+    grep latency >"$BUILD/trace_on.out"
+if ! diff "$BUILD/trace_off.out" "$BUILD/trace_on.out" >&2; then
+    echo "smoke: --trace changed the tiny model's ticks" >&2
+    exit 1
+fi
+
 # Chaos smoke (docs/robustness.md): two seeded fault schedules on the
 # tiny functional model. Each run must terminate with a structured
 # outcome — clean completion (0) or diagnosed fault (4), never a hang or
