@@ -123,13 +123,20 @@ using rsn::sim::Task;
 using rsn::sim::TilePool;
 using rsn::sim::TileRef;
 
+/** Raw callAt event that does nothing: isolates the engine's cost. */
+void
+nop(void *)
+{
+}
+
+/** One callAt event per tick, 0..n-1: wheel insertion and dispatch. */
 void
 BM_EngineEventDispatch(benchmark::State &state)
 {
     for (auto _ : state) {
         Engine e;
         for (int i = 0; i < state.range(0); ++i)
-            e.schedule(i, [] {});
+            e.callAt(Tick(i), nop, nullptr);
         e.run();
         benchmark::DoNotOptimize(e.eventsProcessed());
     }
@@ -176,7 +183,7 @@ BM_SameTickBurst(benchmark::State &state)
     for (auto _ : state) {
         Engine e;
         for (int i = 0; i < state.range(0); ++i)
-            e.scheduleAt(1, [] {});
+            e.callAt(1, nop, nullptr);
         e.run();
         benchmark::DoNotOptimize(e.eventsProcessed());
     }
@@ -184,14 +191,17 @@ BM_SameTickBurst(benchmark::State &state)
 }
 BENCHMARK(BM_SameTickBurst)->Arg(10000);
 
+/** A callAt event that re-arms itself at the current tick until done. */
 struct ZeroDelayChain {
     Engine *e;
-    long *remaining;
-    void
-    operator()() const
+    long remaining;
+
+    static void
+    fire(void *p)
     {
-        if (--*remaining > 0)
-            e->schedule(0, *this);
+        auto *c = static_cast<ZeroDelayChain *>(p);
+        if (--c->remaining > 0)
+            c->e->callAt(c->e->now(), fire, c);
     }
 };
 
@@ -202,10 +212,10 @@ BM_ZeroDelayNowQueue(benchmark::State &state)
 {
     for (auto _ : state) {
         Engine e;
-        long remaining = state.range(0);
-        e.schedule(0, ZeroDelayChain{&e, &remaining});
+        ZeroDelayChain chain{&e, state.range(0)};
+        e.callAt(0, ZeroDelayChain::fire, &chain);
         e.run();
-        benchmark::DoNotOptimize(remaining);
+        benchmark::DoNotOptimize(chain.remaining);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -40,6 +40,10 @@
 
 namespace rsn::isa {
 
+/** Width of the DDR/LPDDR `addr` field: every off-chip tensor must end
+ *  at or below 2^kAddrBits bytes (ProgramBuilder::declareTensor). */
+inline constexpr int kAddrBits = 32;
+
 /**
  * MME: "matrix size, tile size, add bias, add previous layer, calculate
  * scale and shift, accumulate along k".
@@ -109,7 +113,7 @@ struct DdrUop {
     static constexpr void
     fields(auto &u, auto &v)
     {
-        v.num("addr", u.addr, 32);
+        v.num("addr", u.addr, kAddrBits);
         v.num("stride_offset", u.stride_offset, 32);
         v.num("stride_count", u.stride_count, 16);
         v.num("load", u.load, 1);
@@ -144,7 +148,7 @@ struct LpddrUop {
     static constexpr void
     fields(auto &u, auto &v)
     {
-        v.num("addr", u.addr, 32);
+        v.num("addr", u.addr, kAddrBits);
         v.num("stride_offset", u.stride_offset, 32);
         v.num("stride_count", u.stride_count, 16);
         v.fu("dest", u.dest);

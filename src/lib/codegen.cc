@@ -288,7 +288,17 @@ ProgramBuilder::declareTensor(const std::string &name, std::uint32_t rows,
     t.rows = rows;
     t.cols = cols;
     t.is_weight = weight;
-    t.addr = mach_.host().alloc(std::uint64_t(rows) * cols, name);
+    const std::uint64_t elems = std::uint64_t(rows) * cols;
+    t.addr = mach_.host().alloc(elems, name);
+    // The uOP addr field cannot encode a block of a tensor that ends
+    // past its width; reject the model here rather than simulate a
+    // program that has no encoding.
+    const Addr end = t.addr + elems * sizeof(float);
+    if (end > Addr(1) << isa::kAddrBits)
+        rsn_fatal("tensor '%s' ends at byte %llu, past the %d-bit DDR/LPDDR "
+                  "address space",
+                  name.c_str(), static_cast<unsigned long long>(end),
+                  isa::kAddrBits);
     tensors_.push_back(t);
     return t;
 }

@@ -54,17 +54,6 @@ HostMemory::regionName(Addr addr) const
     return r ? r->name : "";
 }
 
-std::vector<float>
-HostMemory::readBlock(Addr addr, std::uint64_t pitch_elems,
-                      std::uint32_t rows, std::uint32_t cols) const
-{
-    if (!functional_)
-        return {};
-    std::vector<float> out(std::uint64_t(rows) * cols);
-    readBlockInto(addr, pitch_elems, rows, cols, out.data());
-    return out;
-}
-
 void
 HostMemory::readBlockInto(Addr addr, std::uint64_t pitch_elems,
                           std::uint32_t rows, std::uint32_t cols,
@@ -99,14 +88,6 @@ HostMemory::readBlockInto(Addr addr, std::uint64_t pitch_elems,
 void
 HostMemory::writeBlock(Addr addr, std::uint64_t pitch_elems,
                        std::uint32_t rows, std::uint32_t cols,
-                       const std::vector<float> &data)
-{
-    writeBlock(addr, pitch_elems, rows, cols, data.data(), data.size());
-}
-
-void
-HostMemory::writeBlock(Addr addr, std::uint64_t pitch_elems,
-                       std::uint32_t rows, std::uint32_t cols,
                        const float *data, std::size_t n)
 {
     if (!functional_ || rows == 0 || cols == 0)
@@ -131,12 +112,6 @@ HostMemory::writeBlock(Addr addr, std::uint64_t pitch_elems,
         std::memcpy(dst + std::uint64_t(i) * pitch_elems,
                     data + std::uint64_t(i) * cols,
                     std::uint64_t(cols) * sizeof(float));
-}
-
-void
-HostMemory::fillRegion(Addr base, const std::vector<float> &values)
-{
-    fillRegion(base, values.data(), values.size());
 }
 
 void

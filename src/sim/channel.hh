@@ -72,9 +72,6 @@ class Channel
     std::size_t size() const { return q_.size(); }
     bool empty() const { return q_.empty(); }
 
-    /** Number of items ever pushed (stats). */
-    std::uint64_t totalPushed() const { return total_pushed_; }
-
     /** True if a coroutine is currently blocked sending / receiving. */
     bool hasBlockedSender() const { return !send_waiters_.empty(); }
     bool hasBlockedReceiver() const { return !recv_waiters_.empty(); }
@@ -84,35 +81,6 @@ class Channel
 
     /** Awaitable: suspend until an item is available, then dequeue it. */
     auto recv() { return RecvAwaiter{*this}; }
-
-    /**
-     * Non-blocking push; only legal when no senders are waiting (used by
-     * non-coroutine producers such as test drivers).
-     *
-     * @return false if the channel was full.
-     */
-    bool
-    tryPush(T v)
-    {
-        rsn_assert(send_waiters_.empty(),
-                   "tryPush would bypass blocked senders");
-        if (q_.size() >= cap_)
-            return false;
-        pushNow(std::move(v));
-        return true;
-    }
-
-    /** Non-blocking pop; only legal when no receivers are waiting. */
-    bool
-    tryPop(T &out)
-    {
-        rsn_assert(recv_waiters_.empty(),
-                   "tryPop would bypass blocked receivers");
-        if (available() == 0)
-            return false;
-        out = popNow();
-        return true;
-    }
 
   private:
     friend struct SendAwaiterFriend;
@@ -130,7 +98,6 @@ class Channel
     pushNow(T v)
     {
         q_.push_back(std::move(v));
-        ++total_pushed_;
         rsn_assert(q_.size() <= cap_, "channel overflow");
         wakeOneReceiver();
     }
@@ -220,7 +187,6 @@ class Channel
     Ring<std::coroutine_handle<>> recv_waiters_;
     std::size_t reserved_pops_ = 0;
     std::size_t reserved_pushes_ = 0;
-    std::uint64_t total_pushed_ = 0;
 };
 
 } // namespace rsn::sim

@@ -1,7 +1,5 @@
 #include "sim/engine.hh"
 
-#include <algorithm>
-
 namespace rsn::sim {
 
 /**
@@ -29,12 +27,11 @@ Engine::cascade(int lvl, std::uint32_t bi)
 }
 
 /**
- * Find the tick of the next pending batch, cascading wheel levels and
- * migrating overflow segments as the search advances — but never past a
- * segment floor beyond @p max_ticks, so an aborted run leaves the wheel
- * base at or below the clamped now(). Returns kTickMax when no events are
- * pending; a return value > max_ticks may be a lower bound rather than an
- * exact tick.
+ * Find the tick of the next pending batch, cascading wheel levels as the
+ * search advances — but never past a segment floor beyond @p max_ticks,
+ * so an aborted run leaves the wheel base at or below the clamped now().
+ * Returns kTickMax when no events are pending; a return value > max_ticks
+ * may be a lower bound rather than an exact tick.
  */
 Tick
 Engine::nextEventTick(Tick max_ticks)
@@ -53,7 +50,9 @@ Engine::nextEventTick(Tick max_ticks)
                 std::uint32_t((base_ >> shift) & kBucketMask) + 1);
             if (j < 0)
                 continue;
-            Tick seg = base_ >> (shift + kLevelBits) << (shift + kLevelBits);
+            // Two shifts: for the top level one shift by 64 would be
+            // undefined; this way its segment mask is simply 0.
+            Tick seg = base_ & (~Tick(0) << shift << kLevelBits);
             Tick floor = seg | (Tick(j) << shift);
             if (floor > max_ticks)
                 return floor;  // beyond the limit: do not enter the segment
@@ -61,33 +60,8 @@ Engine::nextEventTick(Tick max_ticks)
             cascade(lvl, std::uint32_t(j));
             break;
         }
-        if (lvl < kLevels)
-            continue;  // cascaded one level; rescan from level 0
-
-        // Wheel exhausted: migrate the next overflow super-segment.
-        if (tick_heap_.empty())
-            return kTickMax;
-        Tick t0 = tick_heap_.front();
-        constexpr int kSpanBits = kLevelBits * kLevels;
-        Tick floor = t0 >> kSpanBits << kSpanBits;
-        if (floor > max_ticks)
-            return t0;  // exact: heap min is the next pending tick
-        base_ = floor;
-        while (!tick_heap_.empty() &&
-               (tick_heap_.front() >> kSpanBits) == (t0 >> kSpanBits)) {
-            Tick t = tick_heap_.front();
-            std::pop_heap(tick_heap_.begin(), tick_heap_.end(),
-                          std::greater<>{});
-            tick_heap_.pop_back();
-            TickIndex::Entry e = batches_.take(t);
-            int lv = levelFor(t ^ base_);
-            for (std::uint32_t s = e.head; s != kNil;) {
-                std::uint32_t nxt = arena_[s].next;
-                arena_[s].next = kNil;
-                appendBucket(lv, (t >> (kLevelBits * lv)) & kBucketMask, s);
-                s = nxt;
-            }
-        }
+        if (lvl == kLevels)
+            return kTickMax;  // every level is empty
     }
 }
 
@@ -136,23 +110,16 @@ Engine::run(Tick max_ticks)
         std::uint32_t cur = active_head_;
         --pending_;
         ++events_processed_;
+        // Load the payload before the call: the event may schedule and
+        // grow the arena, invalidating references into it.
         Slot &s = arena_[cur];
         if (s.kind == Kind::Coro) {
-            // Fast path: nothing to copy or destroy, just resume.
             std::coroutine_handle<> h = s.u.coro;
             h.resume();
-        } else if (s.kind == Kind::Ptr) {
-            // Raw-callback path: two register loads, then call.
+        } else {
             void (*fn)(void *) = s.u.pair.fn;
             void *arg = s.u.pair.arg;
             fn(arg);
-        } else {
-            // The callback may schedule and grow the arena, invalidating
-            // references into it; fire a stack copy of the POD slot.
-            Slot local = s;
-            local.invoke(local);
-            if (local.kind == Kind::Heap)
-                local.cleanup(local);
         }
         // Re-read after dispatch: the event may have extended its own
         // batch through the now-queue fast path. Only then may the slot
@@ -181,28 +148,6 @@ Engine::drainDiagnosis() const
         if (!w.quiet(w.obj))
             s += w.describe(w.obj) + "\n";
     return s;
-}
-
-Engine::~Engine()
-{
-    // Pending heap-path callables own memory; coroutine frames are owned
-    // by their Task wrappers, never by the engine.
-    for (const Level &l : wheel_)
-        for (const Bucket &b : l.b)
-            releaseList(b.head);
-    batches_.forEach(
-        [this](const TickIndex::Entry &e) { releaseList(e.head); });
-    releaseList(active_head_);  // non-kNil only if run() aborted mid-batch
-}
-
-void
-Engine::releaseList(std::uint32_t head)
-{
-    for (std::uint32_t i = head; i != kNil; i = arena_[i].next) {
-        Slot &s = arena_[i];
-        if (s.kind == Kind::Heap)
-            s.cleanup(s);
-    }
 }
 
 } // namespace rsn::sim

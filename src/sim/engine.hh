@@ -2,28 +2,27 @@
  * @file
  * Discrete-event simulation engine. Time is measured in PL clock ticks.
  *
- * ## Event slots
+ * ## Two event kinds
  *
- * Events live in POD slots inside a recycling arena. Each slot carries a
- * tagged union: a bare `std::coroutine_handle<>` (the fast path — resuming
- * a suspended coroutine is the dominant event in every simulation) or a
- * small-buffer-optimized callable (the `schedule()` fallback). Slots at
+ * Events live in 32-byte POD slots inside a recycling arena. A slot holds
+ * one of the two events the simulator schedules: a bare
+ * `std::coroutine_handle<>` to resume (`resumeAt`/`resumeNow`/`delay` —
+ * the dominant event in every simulation) or a raw `fn(arg)` callback
+ * (`callAt`, the stream link scheduler's per-chunk completion). Slots at
  * the same tick form an intrusive FIFO list through their `next` index.
  *
- * ## Two-level queue: hierarchical timing wheel + overflow heap
+ * ## One queue: an 8-level hierarchical timing wheel
  *
- * Pending ticks are organized as a 4-level timing wheel (256 buckets per
+ * Pending ticks are organized as an 8-level timing wheel (256 buckets per
  * level, so level L buckets span 256^L ticks) aligned to the wheel base.
  * Scheduling appends to the bucket whose level is the highest byte in
  * which the target tick differs from the base — O(1) with a bitmap of
- * occupied buckets per level. As time advances into a higher-level
- * bucket's segment, that bucket cascades its events one level down (each
- * event moves at most 3 times). A level-0 bucket holds exactly one tick,
- * so its intrusive list *is* the tick's FIFO batch. Ticks beyond the
- * base's 2^32-aligned super-segment (crossed once per ~16 simulated
- * seconds at 260 MHz, whatever the delta) overflow into a min-heap of
- * distinct ticks plus a flat hash index (TickIndex) and migrate into
- * the wheel segment-by-segment.
+ * occupied buckets per level. Eight levels of eight bits cover every
+ * 64-bit tick, so every pending event lives in the wheel. As time
+ * advances into a higher-level bucket's segment, that bucket cascades
+ * its events down (each event moves at most 7 times). A level-0 bucket
+ * holds exactly one tick, so its intrusive list *is* the tick's FIFO
+ * batch.
  * A "now-queue" fast path appends zero-delay events directly to the batch
  * currently being drained, which is how channel/stream wakeups
  * (`resumeNow`) bypass the wheel entirely.
@@ -32,11 +31,12 @@
  *
  * In steady state the schedule/dispatch path performs **zero heap
  * allocations**: slots are recycled through a free list, the wheel is
- * fixed-size inline storage, and coroutine resumption stores nothing but
- * the handle. The only allocating paths are (a) one-time growth of the
- * arena / free list, amortized away after warmup, and (b) `schedule()`
- * callables that are too large or not trivially copyable for the inline
- * buffer, which fall back to the heap (`std::function` lands there).
+ * fixed-size inline storage, and an event stores nothing but a handle or
+ * a function/argument pair. The only allocation is one-time growth of
+ * the arena, amortized away after warmup. The engine owns no event
+ * payload: coroutine frames belong to their Task wrappers and callback
+ * arguments to their callers, so destroying an engine with events still
+ * pending releases nothing but the arena.
  *
  * ## Ordering contract
  *
@@ -80,18 +80,13 @@
 #include <array>
 #include <bit>
 #include <coroutine>
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <new>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
-#include "sim/tick_index.hh"
 
 namespace rsn::sim {
 
@@ -116,49 +111,12 @@ struct WaitableRec {
 class Engine
 {
   public:
-    /** Inline slot storage for schedule() callables; larger or
-     *  non-trivially-copyable ones fall back to the heap. Sized so a Slot
-     *  is exactly one cache line. */
-    static constexpr std::size_t kInlineFnSize = 32;
-
     Engine() = default;
-    ~Engine();
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
     /** Current simulated time in ticks. */
     Tick now() const { return now_; }
-
-    /** Schedule @p fn to run @p delay ticks from now. */
-    template <typename F>
-    void
-    schedule(Tick delay, F &&fn)
-    {
-        scheduleAt(now_ + delay, std::forward<F>(fn));
-    }
-
-    /** Schedule @p fn at absolute tick @p when (>= now). */
-    template <typename F>
-    void
-    scheduleAt(Tick when, F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        Slot &s = slotFor(when);
-        if constexpr (sizeof(Fn) <= kInlineFnSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<Fn>) {
-            ::new (static_cast<void *>(s.u.fn)) Fn(std::forward<F>(fn));
-            s.invoke = [](Slot &sl) {
-                (*std::launder(reinterpret_cast<Fn *>(sl.u.fn)))();
-            };
-            s.kind = Kind::Inline;
-        } else {
-            s.u.heap = new Fn(std::forward<F>(fn));
-            s.invoke = [](Slot &sl) { (*static_cast<Fn *>(sl.u.heap))(); };
-            s.cleanup = [](Slot &sl) { delete static_cast<Fn *>(sl.u.heap); };
-            s.kind = Kind::Heap;
-        }
-    }
 
     /** Schedule resumption of a coroutine at absolute tick @p when. */
     void
@@ -170,11 +128,9 @@ class Engine
     }
 
     /**
-     * Schedule a raw callback at absolute tick @p when. This is the
-     * cheapest non-coroutine event: dispatch reads two pointers and
-     * calls, with none of the slot-copy or cleanup bookkeeping of
-     * schedule(). Used by the stream link scheduler's per-chunk
-     * completion events.
+     * Schedule the raw callback `fn(arg)` at absolute tick @p when
+     * (>= now): dispatch reads two pointers and calls. Used by the
+     * stream link scheduler's per-chunk completion events.
      */
     void
     callAt(Tick when, void (*fn)(void *), void *arg)
@@ -183,13 +139,6 @@ class Engine
         s.u.pair.fn = fn;
         s.u.pair.arg = arg;
         s.kind = Kind::Ptr;
-    }
-
-    /** Schedule resumption of a coroutine @p delay ticks from now. */
-    void
-    resumeAfter(Tick delay, std::coroutine_handle<> h)
-    {
-        resumeAt(now_ + delay, h);
     }
 
     /**
@@ -329,38 +278,32 @@ class Engine
 
   private:
     enum class Kind : std::uint8_t {
-        Coro,    ///< Resume u.coro; nothing to destroy.
-        Ptr,     ///< Call u.pair.fn(u.pair.arg); nothing to destroy.
-        Inline,  ///< Trivially-copyable callable constructed in u.fn.
-        Heap,    ///< u.heap owns a callable; cleanup() deletes it.
+        Coro,  ///< Resume u.coro.
+        Ptr,   ///< Call u.pair.fn(u.pair.arg).
     };
 
     /** POD event slot; see file comment. Trivially copyable so the arena
-     *  can grow by memcpy and dispatch can fire a stack copy. */
+     *  can grow by memcpy. */
     struct Slot {
         union Payload {
             // coroutine_handle's default ctor is non-trivial; leave the
-            // union uninitialized until a schedule/resume call fills it.
+            // union uninitialized until a resume/call fills it.
             Payload() {}
             std::coroutine_handle<> coro;
             struct {
                 void (*fn)(void *);
                 void *arg;
             } pair;
-            alignas(std::max_align_t) std::byte fn[kInlineFnSize];
-            void *heap;
         } u;
-        void (*invoke)(Slot &);   ///< Unused on the coroutine fast path.
-        void (*cleanup)(Slot &);  ///< Valid only when kind == Kind::Heap.
-        Tick when;                ///< Target tick (needed by cascades).
-        std::uint32_t next;       ///< Next slot in the same-tick FIFO.
+        Tick when;           ///< Target tick (needed by cascades).
+        std::uint32_t next;  ///< Next slot in the same-tick FIFO.
         Kind kind;
     };
     static_assert(std::is_trivially_copyable_v<Slot>);
-    static_assert(sizeof(Slot) <= 64, "Slot must stay one cache line");
+    static_assert(sizeof(Slot) <= 32, "two slots per cache line");
 
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-    static constexpr int kLevels = 4;
+    static constexpr int kLevels = 8;
     static constexpr int kLevelBits = 8;
     static constexpr std::uint32_t kBucketsPerLevel = 1u << kLevelBits;
     static constexpr Tick kBucketMask = kBucketsPerLevel - 1;
@@ -375,7 +318,7 @@ class Engine
     };
 
     /** Wheel level holding tick @p when, given x = when ^ base_:
-     *  the highest differing byte; >= kLevels means overflow. */
+     *  the highest differing byte, always < kLevels. */
     static int
     levelFor(Tick x)
     {
@@ -444,22 +387,7 @@ class Engine
             return s;
         }
         int lvl = levelFor(when ^ base_);
-        if (lvl < kLevels) {
-            appendBucket(lvl, (when >> (kLevelBits * lvl)) & kBucketMask,
-                         idx);
-            return s;
-        }
-        // Overflow: distinct-tick min-heap + flat index.
-        auto [entry, fresh] = batches_.findOrInsert(when);
-        if (fresh) {
-            tick_heap_.push_back(when);
-            std::push_heap(tick_heap_.begin(), tick_heap_.end(),
-                           std::greater<>{});
-            entry.head = idx;
-        } else {
-            arena_[entry.tail].next = idx;
-        }
-        entry.tail = idx;
+        appendBucket(lvl, (when >> (kLevelBits * lvl)) & kBucketMask, idx);
         return s;
     }
 
@@ -483,13 +411,10 @@ class Engine
 
     Tick nextEventTick(Tick max_ticks);
     void cascade(int lvl, std::uint32_t bi);
-    void releaseList(std::uint32_t head);
 
     std::vector<Slot> arena_;
     std::uint32_t free_head_ = kNil;  ///< Intrusive free list via Slot::next.
     std::array<Level, kLevels> wheel_{};
-    std::vector<Tick> tick_heap_;  ///< Min-heap over distinct overflow ticks.
-    TickIndex batches_;            ///< Overflow tick -> batch head/tail.
     std::uint32_t active_head_ = kNil;  ///< Batch being drained by run().
     std::uint32_t active_tail_ = kNil;
     // stop_requested_ and the watchdog state sit here, among the scalars

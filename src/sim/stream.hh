@@ -13,31 +13,29 @@
  * The send path spawns no coroutine frames and performs no heap
  * allocations in steady state. `send()` returns a plain awaitable: the
  * sender's chunk enters an internal ring of pending transfers and the
- * stream itself drives link occupancy with engine events — one inline
- * (SBO) completion callback per chunk, scheduled at the transfer's end
- * tick. Completions deliver in link order, wake the receiver and the
+ * stream itself drives link occupancy with engine events — one raw
+ * `Engine::callAt` completion callback per chunk, scheduled at the
+ * transfer's end tick. Completions deliver in link order, wake the receiver and the
  * sender through the engine's now-queue, and admit the next pending
  * sender synchronously when a FIFO slot frees. Slot admission is strictly
- * FIFO over send/post/trySend arrival order, which preserves the
+ * FIFO over send/post arrival order, which preserves the
  * reservation discipline the old coroutine implementation enforced with
  * waiter queues. `co_await send(c)` still resumes the sender at delivery
  * time, so FU kernel overlap semantics are unchanged.
  *
- * Producers that must not suspend have two entry points: `trySend()`
- * (succeeds only when a slot is free right now) and `post()`
- * (unconditionally enqueues, like a detached send). `flush()` awaits the
- * send side draining — the mesh FU uses post+flush to overlap one
- * broadcast chunk across all destination links.
+ * A producer that must not suspend uses `post()`, which unconditionally
+ * enqueues like a detached send, behind any parked sender. `flush()`
+ * awaits the send side draining — the mesh FU uses post+flush to overlap
+ * one broadcast chunk across all destination links.
  *
  * ## Lifetime
  *
  * In-flight transfers hold a raw `this` in their engine completion
- * event, so a Stream with a non-empty link (`inFlight() > 0`) must not
- * be destroyed while its engine may still dispatch — the same rule Task
- * imposes for coroutine frames. The machine guarantees this by
- * destroying streams only after Engine::run returned and never running
- * that engine again (events dropped at engine destruction are released,
- * not invoked).
+ * event, so a Stream with a transfer on its link must not be destroyed
+ * while its engine may still dispatch — the same rule Task imposes for
+ * coroutine frames. The machine guarantees this by destroying streams
+ * only after Engine::run returned and never running that engine again
+ * (events still pending when the engine is destroyed are never invoked).
  */
 
 #ifndef RSN_SIM_STREAM_HH
@@ -133,7 +131,6 @@ class Stream
     /** @} */
 
     const std::string &name() const { return name_; }
-    double bytesPerTick() const { return bytes_per_tick_; }
 
     /** Total bytes delivered (stats). */
     Bytes bytesTransferred() const { return bytes_transferred_; }
@@ -150,9 +147,6 @@ class Stream
     /** True if a chunk is waiting for a FIFO slot (back-pressure). */
     bool hasBlockedSender() const { return !pending_.empty(); }
     bool hasBlockedReceiver() const { return !recv_waiters_.empty(); }
-    std::size_t queued() const { return q_.size(); }
-    /** Chunks admitted to the link but not yet delivered. */
-    std::size_t inFlight() const { return xfer_.size(); }
 
     /** Transfer duration in ticks for a chunk of @p b bytes (>= 1). */
     Tick
@@ -176,22 +170,6 @@ class Stream
      * coroutine resumes at delivery time.
      */
     auto send(Chunk c) { return SendAwaiter{*this, std::move(c)}; }
-
-    /**
-     * Non-suspending send for producers that cannot block: succeeds only
-     * when no sender is queued ahead and a FIFO slot is free right now.
-     * The transfer then proceeds exactly as for send().
-     *
-     * @return false if the chunk was not accepted.
-     */
-    bool
-    trySend(Chunk c)
-    {
-        if (!pending_.empty() || claimed() >= cap_)
-            return false;
-        admit(std::move(c), {});
-        return true;
-    }
 
     /**
      * Detached send: unconditionally enqueue (never suspends, never
@@ -243,7 +221,7 @@ class Stream
     /** One send operation: payload, waiting sender, completion tick. */
     struct Xfer {
         Chunk c;
-        std::coroutine_handle<> waiter;  ///< Null for post()/trySend().
+        std::coroutine_handle<> waiter;  ///< Null for post().
         Tick end = 0;                    ///< Valid once admitted.
     };
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Coroutine task types used by FU kernels and decoders.
+ * The coroutine task type used by FU kernels and decoders.
  *
- * Task / ValueTask<T> are *eagerly started* coroutines: calling the coroutine
- * function runs it until its first suspension point. They are awaitable, so a
- * parent coroutine can `co_await` a child kernel; awaiting a task that
- * already completed resumes immediately. Two eager tasks awaited in sequence
+ * A Task is an *eagerly started* coroutine: calling the coroutine function
+ * runs it until its first suspension point. It is awaitable, so a parent
+ * coroutine can `co_await` a child kernel; awaiting a task that already
+ * completed resumes immediately. A Task returns nothing: kernels hand
+ * results over through channels, streams and the state they write. Two eager tasks awaited in sequence
  * execute concurrently in simulated time — this is how FU kernels express the
  * paper's "load and send execute in parallel" (Fig. 7b).
  *
@@ -17,8 +18,8 @@
  * Completion hand-off uses symmetric transfer (FinalAwaiter returns the
  * parent's handle), so awaiting a child never round-trips through the
  * engine's event queue. When engine-timed resumption *is* wanted, pass
- * handle() to Engine::resumeAt/resumeNow directly — the engine stores raw
- * coroutine handles in POD event slots, so no wrapper lambda is needed.
+ * handle() to Engine::resumeAt/resumeNow directly — a coroutine resume is
+ * one of the engine's two event kinds and stores nothing but the handle.
  */
 
 #ifndef RSN_SIM_TASK_HH
@@ -113,73 +114,6 @@ class [[nodiscard]] Task
                 h.promise().continuation = parent;
             }
             void await_resume() const noexcept {}
-        };
-        return Awaiter{h_};
-    }
-
-  private:
-    std::coroutine_handle<promise_type> h_;
-};
-
-/** Eagerly-started coroutine producing a value of type T. */
-template <typename T>
-class [[nodiscard]] ValueTask
-{
-  public:
-    struct promise_type {
-        std::coroutine_handle<> continuation;
-        T value{};
-
-        ValueTask get_return_object()
-        {
-            return ValueTask{
-                std::coroutine_handle<promise_type>::from_promise(*this)};
-        }
-        std::suspend_never initial_suspend() noexcept { return {}; }
-        detail::FinalAwaiter<promise_type> final_suspend() noexcept
-        {
-            return {};
-        }
-        void return_value(T v) noexcept { value = std::move(v); }
-        void unhandled_exception() { std::terminate(); }
-    };
-
-    ValueTask() = default;
-    explicit ValueTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-    ValueTask(ValueTask &&o) noexcept : h_(std::exchange(o.h_, {})) {}
-    ValueTask &operator=(ValueTask &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            h_ = std::exchange(o.h_, {});
-        }
-        return *this;
-    }
-    ~ValueTask() { reset(); }
-
-    bool done() const { return !h_ || h_.done(); }
-
-    /** The raw coroutine handle (null for an empty task); see Task. */
-    std::coroutine_handle<> handle() const noexcept { return h_; }
-
-    void reset()
-    {
-        if (h_) {
-            h_.destroy();
-            h_ = {};
-        }
-    }
-
-    auto operator co_await() const noexcept
-    {
-        struct Awaiter {
-            std::coroutine_handle<promise_type> h;
-            bool await_ready() const noexcept { return h.done(); }
-            void await_suspend(std::coroutine_handle<> parent) noexcept
-            {
-                h.promise().continuation = parent;
-            }
-            T await_resume() noexcept { return std::move(h.promise().value); }
         };
         return Awaiter{h_};
     }

@@ -39,7 +39,8 @@ TEST(DdrFu, LoadReadsBlockAndStreamsIt)
 {
     DdrRig r;
     Addr base = r.host.alloc(64, "t");  // 8x8
-    r.host.fillRegion(base, iotaData(8, 8));
+    const std::vector<float> init = iotaData(8, 8);
+    r.host.fillRegion(base, init.data(), init.size());
     sim::Stream &out = r.h.output(r.fu, memA(0));
 
     isa::DdrUop u;
@@ -79,7 +80,8 @@ TEST(DdrFu, StoreWritesChunkToHostMemory)
         in, {sim::makeDataChunk(2, 8, iotaData(2, 8, 2.0f))});
     r.fu.start();
     ASSERT_TRUE(r.h.run());
-    auto back = r.host.readBlock(base + 8 * 4, 8, 2, 8);
+    std::vector<float> back(2 * 8);
+    r.host.readBlockInto(base + 8 * 4, 8, 2, 8, back.data());
     EXPECT_FLOAT_EQ(back[0], 0.f);
     EXPECT_FLOAT_EQ(back[15], 30.f);
     EXPECT_EQ(r.chan.bytesWritten(), 2u * 8 * 4);
@@ -89,7 +91,8 @@ TEST(DdrFu, StridedUopTouchesMultipleBlocks)
 {
     DdrRig r;
     Addr base = r.host.alloc(256, "t");  // 16x16
-    r.host.fillRegion(base, iotaData(16, 16));
+    const std::vector<float> init = iotaData(16, 16);
+    r.host.fillRegion(base, init.data(), init.size());
     sim::Stream &out = r.h.output(r.fu, memA(0), 256.0, 8);
 
     // stride_count = 4 blocks of 4x16, advancing 4 rows each; the FU
@@ -152,7 +155,8 @@ TEST(DdrFu, UopOrderDeterminesChannelOrder)
     DdrRig r;
     Addr in_base = r.host.alloc(64, "in");
     Addr out_base = r.host.alloc(64, "out");
-    r.host.fillRegion(in_base, iotaData(8, 8));
+    const std::vector<float> init = iotaData(8, 8);
+    r.host.fillRegion(in_base, init.data(), init.size());
     sim::Stream &out = r.h.output(r.fu, memA(0), 256.0, 8);
     sim::Stream &in = r.h.input(r.fu, memC(0));
 
@@ -192,7 +196,8 @@ TEST(LpddrFu, LoadsWeightBlocks)
     mem::DramChannel chan{h.eng, mem::DramConfig{"LPDDR", 20.5, 20.5}};
     fu::LpddrFu fu{h.eng, kLpddr, chan, host, mem::LayoutKind::Blocked};
     Addr base = host.alloc(64, "W");
-    host.fillRegion(base, iotaData(8, 8));
+    const std::vector<float> init = iotaData(8, 8);
+    host.fillRegion(base, init.data(), init.size());
     sim::Stream &out = h.output(fu, {FuType::MemB, 0});
 
     isa::LpddrUop u;

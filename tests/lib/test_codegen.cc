@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/machine.hh"
 #include "lib/codegen.hh"
@@ -207,6 +209,21 @@ TEST(Codegen, RejectsLayerNormOnPartialWidthTiles)
     auto opts = ScheduleOptions::optimized();
     opts.out_tile_n = 1024;
     EXPECT_THROW((void)compileModel(mach, mod, opts), std::logic_error);
+}
+
+TEST(Codegen, RejectsTensorsPastTheAddressField)
+{
+    // The 32768x32768 weight alone is 4 GiB of FP32, so it ends past the
+    // 2^32 bytes a DDR/LPDDR addr field can reach (isa::kAddrBits).
+    core::RsnMachine mach(core::MachineConfig::vck190());
+    try {
+        (void)compileModel(mach, linModel(96, 32768, 32768),
+                           ScheduleOptions::optimized());
+        FAIL() << "a tensor past the addr field compiled";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("'W.fc'"), std::string::npos)
+            << e.what();
+    }
 }
 
 /** Compile every shipped model under each Table 9 preset and both

@@ -13,21 +13,6 @@ using rsn::sim::Channel;
 using rsn::sim::Engine;
 using rsn::sim::Task;
 
-TEST(Channel, TryPushPopRoundTrip)
-{
-    Engine e;
-    Channel<int> ch(e, 2);
-    EXPECT_TRUE(ch.tryPush(1));
-    EXPECT_TRUE(ch.tryPush(2));
-    EXPECT_FALSE(ch.tryPush(3));  // full
-    int v = 0;
-    EXPECT_TRUE(ch.tryPop(v));
-    EXPECT_EQ(v, 1);
-    EXPECT_TRUE(ch.tryPop(v));
-    EXPECT_EQ(v, 2);
-    EXPECT_FALSE(ch.tryPop(v));  // empty
-}
-
 Task
 sendN(Engine &e, Channel<int> &ch, int n, Tick gap)
 {
@@ -124,17 +109,6 @@ TEST(Channel, TwoReceiversShareItemsWithoutLossOrDuplication)
     all.insert(all.end(), b.begin(), b.end());
     std::sort(all.begin(), all.end());
     EXPECT_EQ(all, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-TEST(Channel, CountsTotalPushed)
-{
-    Engine e;
-    Channel<int> ch(e, 8);
-    std::vector<int> got;
-    Task s = sendN(e, ch, 6, 0);
-    Task r = recvN(e, ch, 6, 0, got);
-    e.run();
-    EXPECT_EQ(ch.totalPushed(), 6u);
 }
 
 TEST(Channel, DeadlockLeavesEngineIdleWithWaiters)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -8,6 +9,15 @@ namespace {
 
 using rsn::Tick;
 using rsn::sim::Engine;
+
+/** Schedule the callable @p f at @p when through the raw callAt event;
+ *  @p f must outlive the event. */
+template <class F>
+void
+callAt(Engine &e, Tick when, F &f)
+{
+    e.callAt(when, [](void *p) { (*static_cast<F *>(p))(); }, &f);
+}
 
 TEST(Engine, StartsAtTickZeroAndIdle)
 {
@@ -21,9 +31,12 @@ TEST(Engine, EventsRunInTimeOrder)
 {
     Engine e;
     std::vector<int> order;
-    e.schedule(30, [&] { order.push_back(3); });
-    e.schedule(10, [&] { order.push_back(1); });
-    e.schedule(20, [&] { order.push_back(2); });
+    auto one = [&] { order.push_back(1); };
+    auto two = [&] { order.push_back(2); };
+    auto three = [&] { order.push_back(3); };
+    callAt(e, 30, three);
+    callAt(e, 10, one);
+    callAt(e, 20, two);
     EXPECT_TRUE(e.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(e.now(), 30u);
@@ -33,8 +46,11 @@ TEST(Engine, SameTickEventsRunInScheduleOrder)
 {
     Engine e;
     std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        e.schedule(7, [&order, i] { order.push_back(i); });
+    std::vector<std::function<void()>> fns(5);
+    for (int i = 0; i < 5; ++i) {
+        fns[i] = [&order, i] { order.push_back(i); };
+        callAt(e, 7, fns[i]);
+    }
     EXPECT_TRUE(e.run());
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -45,9 +61,9 @@ TEST(Engine, EventsMayScheduleMoreEvents)
     int count = 0;
     std::function<void()> chain = [&] {
         if (++count < 10)
-            e.schedule(5, chain);
+            callAt(e, e.now() + 5, chain);
     };
-    e.schedule(0, chain);
+    callAt(e, 0, chain);
     EXPECT_TRUE(e.run());
     EXPECT_EQ(count, 10);
     EXPECT_EQ(e.now(), 45u);
@@ -57,7 +73,8 @@ TEST(Engine, RunStopsAtTickLimit)
 {
     Engine e;
     bool late = false;
-    e.schedule(100, [&] { late = true; });
+    auto fire = [&] { late = true; };
+    callAt(e, 100, fire);
     EXPECT_FALSE(e.run(50));
     EXPECT_FALSE(late);
     EXPECT_EQ(e.now(), 50u);
@@ -70,7 +87,9 @@ TEST(Engine, ZeroDelayRunsAtCurrentTick)
 {
     Engine e;
     Tick seen = 12345;
-    e.schedule(42, [&] { e.schedule(0, [&] { seen = e.now(); }); });
+    auto inner = [&] { seen = e.now(); };
+    auto outer = [&] { callAt(e, e.now(), inner); };
+    callAt(e, 42, outer);
     EXPECT_TRUE(e.run());
     EXPECT_EQ(seen, 42u);
 }
@@ -78,8 +97,9 @@ TEST(Engine, ZeroDelayRunsAtCurrentTick)
 TEST(Engine, EventCountIsTracked)
 {
     Engine e;
+    auto nop = [] {};
     for (int i = 0; i < 17; ++i)
-        e.schedule(i, [] {});
+        callAt(e, i, nop);
     e.run();
     EXPECT_EQ(e.eventsProcessed(), 17u);
 }
@@ -88,7 +108,8 @@ TEST(Engine, TickLimitInPastDoesNotRewindTime)
 {
     Engine e;
     bool fired = false;
-    e.schedule(100, [&] { fired = true; });
+    auto fire = [&] { fired = true; };
+    callAt(e, 100, fire);
     EXPECT_FALSE(e.run(50));
     EXPECT_EQ(e.now(), 50u);
     // A limit below the current time must not move now() backwards.
@@ -104,11 +125,14 @@ TEST(Engine, SameTickEventScheduledDuringDispatchRunsAfterQueued)
 {
     Engine e;
     std::vector<int> order;
-    e.schedule(5, [&] {
+    auto three = [&] { order.push_back(3); };
+    auto one = [&] {
         order.push_back(1);
-        e.schedule(0, [&] { order.push_back(3); });  // behind event 2
-    });
-    e.schedule(5, [&] { order.push_back(2); });
+        callAt(e, e.now(), three);  // behind event 2
+    };
+    auto two = [&] { order.push_back(2); };
+    callAt(e, 5, one);
+    callAt(e, 5, two);
     EXPECT_TRUE(e.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(e.now(), 5u);
@@ -116,24 +140,37 @@ TEST(Engine, SameTickEventScheduledDuringDispatchRunsAfterQueued)
 
 TEST(Engine, TicksAcrossAllWheelLevelsRunInOrder)
 {
-    // One event per timing-wheel level plus the overflow heap (see the
-    // two-level queue description in engine.hh).
+    // One event per timing-wheel level 0-7 (level L holds ticks whose
+    // highest byte differing from the base is byte L; see engine.hh),
+    // plus the last tick below the kTickMax sentinel.
     Engine e;
     std::vector<Tick> fired;
-    const Tick far = (Tick(1) << 33) + 7;
-    for (Tick t : {far, Tick(20'000'000), Tick(70'000), Tick(300), Tick(3)})
-        e.scheduleAt(t, [&fired, &e] { fired.push_back(e.now()); });
+    auto record = [&] { fired.push_back(e.now()); };
+    const std::vector<Tick> ticks = {
+        3,
+        300,
+        70'000,
+        20'000'000,
+        (Tick(1) << 33) + 7,
+        (Tick(1) << 41) + 5,
+        (Tick(1) << 49) + 3,
+        (Tick(1) << 57) + 1,
+        rsn::kTickMax - 2,
+    };
+    for (auto it = ticks.rbegin(); it != ticks.rend(); ++it)
+        callAt(e, *it, record);
     EXPECT_TRUE(e.run());
-    EXPECT_EQ(fired, (std::vector<Tick>{3, 300, 70'000, 20'000'000, far}));
-    EXPECT_EQ(e.now(), far);
+    EXPECT_EQ(fired, ticks);
+    EXPECT_EQ(e.now(), rsn::kTickMax - 2);
 }
 
 TEST(Engine, PendingEventsTracksQueueDepth)
 {
     Engine e;
     EXPECT_EQ(e.pendingEvents(), 0u);
+    auto nop = [] {};
     for (int i = 0; i < 5; ++i)
-        e.schedule(10, [] {});
+        callAt(e, 10, nop);
     EXPECT_EQ(e.pendingEvents(), 5u);
     EXPECT_TRUE(e.run());
     EXPECT_EQ(e.pendingEvents(), 0u);

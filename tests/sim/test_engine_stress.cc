@@ -1,22 +1,20 @@
 /**
  * @file
- * Determinism stress test for the two-level (timing wheel) event engine.
+ * Determinism stress test for the timing-wheel event engine.
  *
- * Replays identical seeded scripts — interleaving inline callbacks,
- * heap-path callbacks (captures too large for the inline slot), coroutine
- * resumes across all wheel levels and the overflow heap, same-tick bursts,
- * and zero-delay chains — on both the production Engine and a reference
- * engine that reproduces the seed implementation (single priority queue
- * ordered by (tick, sequence)). The observable execution order must match
- * bit-for-bit.
+ * Replays identical seeded scripts — raw `callAt` callbacks, coroutine
+ * resumes, delays spread over all eight wheel levels (up to 2^56 ticks
+ * and beyond), same-tick bursts, and zero-delay chains — on both the
+ * production Engine and a reference engine that reproduces the seed
+ * implementation (single priority queue ordered by (tick, sequence)).
+ * The observable execution order must match bit-for-bit.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <queue>
 #include <random>
 #include <vector>
@@ -31,8 +29,8 @@ using rsn::sim::Engine;
 using rsn::sim::Task;
 
 /**
- * The seed engine, verbatim semantics: one heap-allocating priority queue
- * of (tick, sequence, std::function) events, FIFO within a tick.
+ * The seed engine, verbatim semantics: one priority queue of
+ * (tick, sequence, callback) events, FIFO within a tick.
  */
 class RefEngine
 {
@@ -40,21 +38,18 @@ class RefEngine
     Tick now() const { return now_; }
 
     void
-    schedule(Tick delay, std::function<void()> fn)
+    callAt(Tick when, void (*fn)(void *), void *arg)
     {
-        scheduleAt(now_ + delay, std::move(fn));
-    }
-
-    void
-    scheduleAt(Tick when, std::function<void()> fn)
-    {
-        queue_.push(Event{when, next_seq_++, std::move(fn)});
+        queue_.push(Event{when, next_seq_++, fn, arg});
     }
 
     void
     resumeAt(Tick when, std::coroutine_handle<> h)
     {
-        scheduleAt(when, [h] { h.resume(); });
+        callAt(
+            when,
+            [](void *p) { std::coroutine_handle<>::from_address(p).resume(); },
+            h.address());
     }
 
     bool
@@ -72,7 +67,7 @@ class RefEngine
             Event ev = queue_.top();
             queue_.pop();
             now_ = ev.when;
-            ev.fn();
+            ev.fn(ev.arg);
         }
         return true;
     }
@@ -81,7 +76,8 @@ class RefEngine
     struct Event {
         Tick when;
         std::uint64_t seq;
-        std::function<void()> fn;
+        void (*fn)(void *);
+        void *arg;
         bool operator>(const Event &o) const
         {
             return when != o.when ? when > o.when : seq > o.seq;
@@ -92,6 +88,34 @@ class RefEngine
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
 };
+
+/** One scripted callback event: logs its tag when it fires, then
+ *  schedules its zero-delay follow-up, if any, at the same tick. */
+template <typename E>
+struct Record {
+    E *e;
+    std::vector<int> *log;
+    int tag;
+    Record *follow = nullptr;
+
+    static void
+    fire(void *p)
+    {
+        auto *r = static_cast<Record *>(p);
+        r->log->push_back(r->tag);
+        if (r->follow)
+            r->e->callAt(r->e->now(), fire, r->follow);
+    }
+};
+
+/** A delay whose target lands in wheel level 4, 5, 6 or 7 (its highest
+ *  set byte is byte 4..7: 2^32 up to beyond 2^56). */
+Tick
+farDelay(std::mt19937 &rng)
+{
+    int bit = 32 + int(rng() % 31);
+    return (Tick(1) << bit) + rng() % 1000;
+}
 
 /** Engine-generic delay awaitable (Engine::delay is Engine-specific). */
 template <typename E>
@@ -138,26 +162,28 @@ runScript(unsigned seed)
     std::vector<int> log;
     std::mt19937 rng(seed);
     std::vector<Task> tasks;
+    std::deque<Record<E>> records;  // stable addresses for callAt args
+    const auto at = [&](Tick when, int tag) -> Record<E> & {
+        Record<E> &r = records.emplace_back(Record<E>{&e, &log, tag});
+        e.callAt(when, Record<E>::fire, &r);
+        return r;
+    };
 
     for (int op = 0; op < 400; ++op) {
         int tag = 100000 + op * 10;
         switch (rng() % 6) {
-        case 0: {  // small inline callback, near tick
-            Tick d = rng() % 60;
-            e.schedule(d, [&log, tag] { log.push_back(tag); });
+        case 0: {  // callback, near tick
+            at(rng() % 60, tag);
             break;
         }
-        case 1: {  // heap-path callback (capture exceeds the inline slot)
-            std::array<char, 100> pad{};
-            pad[0] = char(op);
-            Tick d = rng() % 300000;  // spans several wheel levels
-            e.schedule(d, [&log, tag, pad] { log.push_back(tag + pad[0]); });
+        case 1: {  // callback in the middle or upper wheel levels
+            at(rng() % 2 ? farDelay(rng) : rng() % 300000, tag);
             break;
         }
         case 2: {  // same-tick burst
             Tick d = rng() % 40;
             for (int k = 0; k < 8; ++k)
-                e.schedule(d, [&log, tag, k] { log.push_back(tag + k); });
+                at(d, tag + k);
             break;
         }
         case 3: {  // coroutine actor with its own timed hops
@@ -166,26 +192,24 @@ runScript(unsigned seed)
         }
         case 4: {  // parked coroutine resumed via raw handle
             tasks.push_back(parked(log, tag));
-            Tick d = rng() % 4 == 0 ? (Tick(1) << 33) + rng() % 100  // overflow
-                                    : rng() % 70000;
+            Tick d = rng() % 4 == 0 ? farDelay(rng) : rng() % 70000;
             e.resumeAt(e.now() + d, tasks.back().handle());
             break;
         }
         case 5: {  // zero-delay chain scheduled from inside an event
-            Tick d = rng() % 25;
-            e.schedule(d, [&e, &log, tag] {
-                log.push_back(tag);
-                e.schedule(0, [&log, tag] { log.push_back(tag + 1); });
-            });
+            Record<E> &first = at(rng() % 25, tag);
+            first.follow = &records.emplace_back(Record<E>{&e, &log, tag + 1});
             break;
         }
         }
     }
 
-    // Staged runs with increasing limits, then drain.
+    // Staged runs with increasing limits — the last one stops inside a
+    // level-5 segment — then drain.
     EXPECT_FALSE(e.run(50));
     EXPECT_EQ(e.now(), 50u);
     e.run(100000);
+    e.run((Tick(1) << 44) + 12345);
     EXPECT_TRUE(e.run());
     return log;
 }

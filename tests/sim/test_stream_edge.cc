@@ -2,8 +2,9 @@
  * @file
  * Stream edge cases the coroutine-free rewrite must preserve: FIFO
  * serialization across many senders, minimum transfer durations,
- * busy-tick accounting under back-pressure, trySend/post/flush
- * semantics, and exact integer transfer timing for huge chunks.
+ * busy-tick accounting under back-pressure, post/flush semantics
+ * (FIFO-fair behind parked senders), and exact integer transfer timing
+ * for huge chunks.
  */
 
 #include <gtest/gtest.h>
@@ -115,27 +116,24 @@ TEST(StreamEdge, BusyTicksCountTransfersNotBackPressureStalls)
     EXPECT_EQ(e.now(), 1064u);
 }
 
-TEST(StreamEdge, TrySendHonorsCapacityAndQueuedSenders)
+TEST(StreamEdge, PostQueuesBehindParkedSender)
 {
     Engine e;
-    Stream s(e, 4096.0, 2, "try");
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 0)));
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 1)));
-    EXPECT_FALSE(s.trySend(makeChunk(1, 1, 2))) << "FIFO is full";
-    // A blocked coroutine sender queues behind the full FIFO; trySend
-    // must not jump that queue even after slots free up.
-    Task blocked = sendOne(s, 3);
+    Stream s(e, 4096.0, 2, "post-fair");
+    s.post(makeChunk(1, 1, 0));
+    s.post(makeChunk(1, 1, 1));
+    // The FIFO is full: a coroutine sender parks, and a later post()
+    // must queue behind it, not jump ahead once slots free up.
+    Task blocked = sendOne(s, 2);
     EXPECT_TRUE(s.hasBlockedSender());
+    s.post(makeChunk(1, 1, 3));
     std::vector<Chunk> got;
-    Task rcv = recvChunks(s, 3, got);
+    Task rcv = recvChunks(s, 4, got);
     ASSERT_TRUE(e.run());
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].tag, 0u);
-    EXPECT_EQ(got[1].tag, 1u);
-    EXPECT_EQ(got[2].tag, 3u);
+    ASSERT_EQ(got.size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(got[i].tag, i);
     EXPECT_TRUE(blocked.done());
-    // Drained: trySend succeeds again.
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 4)));
 }
 
 TEST(StreamEdge, PostAndFlushDeliverEverythingInOrder)
