@@ -56,9 +56,10 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
+    // A user error, not a bug: the message is the whole diagnosis, and
+    // whoever catches it (the drivers' main) prints it once.
     throw std::runtime_error("fatal: " + msg);
 }
 

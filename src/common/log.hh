@@ -29,7 +29,7 @@ void setLogLevel(int level);
 
 namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 std::string formatv(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -40,10 +40,13 @@ std::string formatv(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
     ::rsn::detail::panicImpl(__FILE__, __LINE__, \
                              ::rsn::detail::formatv(__VA_ARGS__))
 
-/** Exit(1): the simulation cannot continue due to a user/config error. */
+/**
+ * Throw std::runtime_error("fatal: <msg>"): the simulation cannot
+ * continue due to a user/config error. Nothing is printed here; the
+ * drivers catch it and print the message once.
+ */
 #define rsn_fatal(...) \
-    ::rsn::detail::fatalImpl(__FILE__, __LINE__, \
-                             ::rsn::detail::formatv(__VA_ARGS__))
+    ::rsn::detail::fatalImpl(::rsn::detail::formatv(__VA_ARGS__))
 
 /** Warning that does not stop the simulation. */
 #define rsn_warn(...) \

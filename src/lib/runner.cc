@@ -1,5 +1,7 @@
 #include "lib/runner.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace rsn::lib {
@@ -26,8 +28,7 @@ readTensor(core::RsnMachine &mach, const CompiledModel &compiled,
            const std::string &name)
 {
     const TensorInfo &t = compiled.tensor(name);
-    ref::Matrix m(t.rows, t.cols);
-    m.data = mach.host().readRegion(t.addr);
+    ref::Matrix m(t.rows, t.cols, mach.host().readRegion(t.addr));
     rsn_assert(m.data.size() == std::size_t(t.rows) * t.cols,
                "tensor read shape mismatch");
     return m;
@@ -35,25 +36,16 @@ readTensor(core::RsnMachine &mach, const CompiledModel &compiled,
 
 namespace {
 
-/** Extract a column range [off, off+w) of a matrix. */
+/** Copy the h x w block of @p m whose top-left element is (r0, c0). */
 ref::Matrix
-colRange(const ref::Matrix &m, std::uint32_t off, std::uint32_t w)
+block(const ref::Matrix &m, std::uint32_t r0, std::uint32_t h,
+      std::uint32_t c0, std::uint32_t w)
 {
-    ref::Matrix out(m.rows, w);
-    for (std::uint32_t i = 0; i < m.rows; ++i)
-        for (std::uint32_t j = 0; j < w; ++j)
-            out.at(i, j) = m.at(i, off + j);
-    return out;
-}
-
-/** Extract a row range. */
-ref::Matrix
-rowRange(const ref::Matrix &m, std::uint32_t off, std::uint32_t h)
-{
-    ref::Matrix out(h, m.cols);
-    for (std::uint32_t i = 0; i < h; ++i)
-        for (std::uint32_t j = 0; j < m.cols; ++j)
-            out.at(i, j) = m.at(off + i, j);
+    ref::Matrix out(h, w);
+    for (std::uint32_t i = 0; i < h; ++i) {
+        const float *src = m.data.data() + std::size_t(r0 + i) * m.cols + c0;
+        std::copy(src, src + w, out.data.data() + std::size_t(i) * w);
+    }
     return out;
 }
 
@@ -110,15 +102,13 @@ referenceForward(core::RsnMachine &mach, const Model &model,
             for (std::uint32_t h = 0; h < a->heads; ++h) {
                 const std::uint32_t b = h / a->heads_per_batch;
                 const std::uint32_t j = h % a->heads_per_batch;
-                ref::Matrix q = colRange(
-                    rowRange(q_all, b * a->seq, a->seq),
-                    a->q_col_off + j * a->dhead, a->dhead);
-                ref::Matrix k = colRange(
-                    rowRange(k_all, b * a->seq, a->seq),
-                    a->k_col_off + j * a->dhead, a->dhead);
-                ref::Matrix v = colRange(
-                    rowRange(v_all, b * a->seq, a->seq),
-                    a->v_col_off + j * a->dhead, a->dhead);
+                const std::uint32_t r0 = b * a->seq;
+                ref::Matrix q = block(q_all, r0, a->seq,
+                                      a->q_col_off + j * a->dhead, a->dhead);
+                ref::Matrix k = block(k_all, r0, a->seq,
+                                      a->k_col_off + j * a->dhead, a->dhead);
+                ref::Matrix v = block(v_all, r0, a->seq,
+                                      a->v_col_off + j * a->dhead, a->dhead);
                 ref::Matrix probs = ref::softmax(ref::matmulBt(q, k));
                 ref::Matrix ctx = ref::matmul(probs, v);
                 placeBlock(out, ctx, b * a->seq, j * a->dhead);

@@ -2,10 +2,16 @@
  * @file
  * Reference FP32 implementations used to validate the streamed datapath.
  *
- * These are deliberately independent of the FU implementations (different
- * loop structures, no shared helpers) so a bug in the datapath math cannot
- * hide behind a shared subroutine. They play the role of the paper's
+ * These are independent of the FU implementations: nothing here links to
+ * fu/ or the kernel registry, so a bug in the datapath math cannot hide
+ * behind a shared subroutine. They play the role of the paper's
  * python_gold reference outputs (Artifact Appendix A.6).
+ *
+ * matmul() is defined by its triple loop: c(i,j) = 0 + a(i,0)*b(0,j) +
+ * a(i,1)*b(1,j) + ... in ascending k, each product and each sum rounded
+ * on its own, with no FMA on any host. Its faster paths are bit-identical
+ * to that definition for finite operands, so the reference's outputs do
+ * not depend on the CPU that computes them.
  */
 
 #ifndef RSN_REF_REF_MATH_HH
@@ -13,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rsn::ref {
@@ -26,6 +33,10 @@ struct Matrix {
     Matrix() = default;
     Matrix(std::uint32_t r, std::uint32_t c)
         : rows(r), cols(c), data(std::size_t(r) * c, 0.f)
+    {}
+    /** Take a row-major payload of r * c elements. */
+    Matrix(std::uint32_t r, std::uint32_t c, std::vector<float> payload)
+        : rows(r), cols(c), data(std::move(payload))
     {}
     /** Wrap a raw row-major payload (e.g. a pooled chunk tile). */
     Matrix(std::uint32_t r, std::uint32_t c, const float *src)
@@ -46,11 +57,28 @@ struct Matrix {
 Matrix randomMatrix(std::uint32_t rows, std::uint32_t cols,
                     std::uint32_t seed, float scale = 1.0f);
 
-/** C = A * B. */
+/** C = A * B, by the fastest path this CPU runs (see the file comment). */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T. */
+/** C = A * B^T: matmul(a, transpose(b)). */
 Matrix matmulBt(const Matrix &a, const Matrix &b);
+
+namespace detail {
+
+/**
+ * The paths matmul() picks from, once, at first use: Avx2 (packed
+ * panels, 4x16 register tiles) where the CPU has AVX2, else the Loop
+ * definition. Exposed so tests can hold each path to the definition.
+ */
+enum class MatmulPath { Loop, Avx2 };
+
+/** Whether this build and CPU can run @p path. */
+bool canRun(MatmulPath path);
+
+/** matmul() through @p path, which must be runnable. */
+Matrix matmulVia(MatmulPath path, const Matrix &a, const Matrix &b);
+
+} // namespace detail
 
 /** Transpose. */
 Matrix transpose(const Matrix &a);

@@ -163,7 +163,8 @@ main(int argc, char **argv)
     try {
         return runMain(o);
     } catch (const std::runtime_error &e) {
-        // rsn_fatal: a user/config error the driver can classify.
+        // rsn_fatal: a user/config error the driver can classify. The
+        // throw printed nothing, so this is its only line.
         std::fprintf(stderr, "%s\n", e.what());
         return 3;
     }

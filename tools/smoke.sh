@@ -28,6 +28,19 @@ if ! diff "$BUILD/trace_off.out" "$BUILD/trace_on.out" >&2; then
     exit 1
 fi
 
+# A user error exits 3 and says so once: a model whose tensors end past
+# the 32-bit DDR address field fails at compile time with one `fatal:`
+# line on stderr.
+rc=0
+"$BUILD/rsn-sim" --model bert --layers 24 --batch 12 \
+    >/dev/null 2>"$BUILD/fatal.err" || rc=$?
+if [ "$rc" -ne 3 ] || [ "$(grep -c 'fatal:' "$BUILD/fatal.err")" -ne 1 ]
+then
+    echo "smoke: want exit 3 and one fatal: line, got exit $rc:" >&2
+    cat "$BUILD/fatal.err" >&2
+    exit 1
+fi
+
 # Chaos smoke (docs/robustness.md): two seeded fault schedules on the
 # tiny functional model. Each run must terminate with a structured
 # outcome — clean completion (0) or diagnosed fault (4), never a hang or
